@@ -52,6 +52,7 @@ from .models import (
     GeodesicModel,
     MagneticModel,
     ReducedDiskModel,
+    SurfaceModel,
     TopModel,
 )
 from .potentials import Potential, axis_cosine, from_expression, none
@@ -85,7 +86,7 @@ __all__ = [
     "geometry_jet", "rotate90",
     "IntegratorSettings", "Trajectory", "integrate",
     "FullDiskModel", "GeodesicModel", "MagneticModel", "ReducedDiskModel",
-    "TopModel",
+    "SurfaceModel", "TopModel",
     "Potential", "axis_cosine", "from_expression", "none",
     "HolonomyResult", "LatitudeLoop", "RectangleLoop", "ResidualReport",
     "compare_trajectories", "el_residual_oracle", "hjh_identity",

@@ -129,9 +129,6 @@ class SurfaceChart:
         self._embedding_d2 = embedding_d2
         self.pole_guard = pole_guard
         self.closure_x1 = closure_x1 if closure_x1 is not None else domain.x1_range
-        self.derivative_mode = (
-            "analytic" if metric_d1 is not None else "finite_difference"
-        )
 
     # -- metric jets ----------------------------------------------------
 
@@ -471,7 +468,6 @@ def custom(
     a22: str,
     embedding: tuple[str, str, str] | list[str] | None = None,
     domain: Domain | None = None,
-    fd_scale: float = fd.FIRST_STEP_SCALE,
 ) -> SurfaceChart:
     """Chart from expression strings, orthogonal by construction.
 

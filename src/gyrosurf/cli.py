@@ -1,8 +1,7 @@
 """Command-line front end: run scenarios, verify suites, compare, query K.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error, 3 domain
-truncation.  The environment variable GYROSURF_SEED is reserved; the engine
-is deterministic and does not read it.
+truncation.
 """
 
 from __future__ import annotations

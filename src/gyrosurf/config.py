@@ -17,7 +17,6 @@ import numpy as np
 
 from . import charts, dynamics, models, potentials
 from .errors import ConfigError
-from .geometry import geometry_jet
 from .integrators import SCHEMES, IntegratorSettings, Trajectory
 
 SURFACE_KINDS = ("plane", "sphere", "torus", "cylinder", "saddle", "custom")
@@ -422,18 +421,15 @@ def build_initial(cfg: ScenarioConfig, model) -> np.ndarray:
     v = np.array(ini["v"], dtype=float)
     chart = model.chart if model.chart is not None else model.monitor_chart
     chart.domain.wrap(x)
-    kind = cfg.model_kind
-    if kind in ("geodesic", "magnetic", "reduced_disk"):
+    if model.n_pos == 2:
         return model.pack(dynamics.ReducedState(x=x, v=v))
-    if "theta_dot" in ini:
-        theta_dot = ini["theta_dot"]
-    elif kind == "top":
-        theta_dot = ini["omega_a"] - v[1] * math.cos(x[0])
-    else:
-        jet = geometry_jet(model.chart, x)
-        theta_dot = ini["omega_a"] - float(jet.f @ v)
-    return model.pack(dynamics.FullState(x=x, v=v, theta=ini["theta"],
-                                         theta_dot=theta_dot))
+    state = dynamics.FullState(x=x, v=v, theta=ini["theta"],
+                               theta_dot=ini.get("theta_dot", 0.0))
+    if "theta_dot" not in ini:
+        # omega_a is theta_dot plus a term in (x, v); at theta_dot = 0 the
+        # model's axial spin is that term alone
+        state.theta_dot = ini["omega_a"] - model.omega_a(model.pack(state))
+    return model.pack(state)
 
 
 def build_settings(cfg: ScenarioConfig) -> IntegratorSettings:

@@ -1,6 +1,6 @@
 """Equations of motion for a spinning disk rolling-free on a curved surface.
 
-Five related systems share this module:
+Four right-hand sides share this module:
 
 * `full_disk_rhs`: disk center constrained to the surface, axis along the
   normal, all three rotational degrees of freedom kept.  The axial spin
@@ -9,10 +9,13 @@ Five related systems share this module:
   what remains is a charged particle on the surface, charge L, magnetic
   field K, plus the disk's diametral inertia correction.
 * `magnetic_geodesic_rhs`: the clean magnetic system m Dv/dt = L K Jv - grad V
-  with no inertia correction; coincides with the reduced disk at I_d = 0.
-* `geodesic_rhs`: L = 0 control case.
+  with no inertia correction; coincides with the reduced disk at I_d = 0,
+  and L = 0 gives the uncharged geodesic control case.
 * `top_rhs`: the Lagrange top in Euler angles; algebraically identical to a
   magnetic geodesic on a sphere whose radius is set by `top_to_sphere`.
+
+`models.SurfaceModel` drives the middle two as one surface law: the
+magnetic path at I_d = 0, the reduced-disk path otherwise.
 
 Positions are chart coordinates x = (x1, x2); velocities are coordinate
 velocities.  Right-hand sides return tuples of time derivatives in state
@@ -196,23 +199,35 @@ def _spin_inertia_matrix(chart: SurfaceChart, x, form: str) -> np.ndarray:
     return h @ g_inv @ h
 
 
-def _disk_mass(chart: SurfaceChart, jet: GeometryJet, m: float, I_d: float,
-               form: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Mass matrix m A + I_d B and its two coordinate derivatives.
+def disk_mass_matrix(chart: SurfaceChart, jet: GeometryJet, m: float,
+                     I_d: float, form: str) -> np.ndarray:
+    """Mass matrix m A + I_d B of the disk's translation and wobble.
 
-    The metric part is analytic (from the jet); the inertia part B comes
-    through the embedding, so dB falls back to finite differences.
+    A is the metric; the inertia part B needs the embedding's shape operator
+    and is skipped when I_d = 0.
     """
     if form not in OMEGA_D_FORMS:
         raise ValueError(f"omega_d_form must be one of {OMEGA_D_FORMS}")
     mass = m * jet.g
-    dmass = [m * jet.dg[0], m * jet.dg[1]]
     if I_d != 0.0:
         if not chart.has_embedding:
             raise MissingEmbeddingError(
                 "diametral inertia needs the shape operator; chart has no embedding"
             )
         mass = mass + I_d * _spin_inertia_matrix(chart, jet.x, form)
+    return mass
+
+
+def _disk_mass(chart: SurfaceChart, jet: GeometryJet, m: float, I_d: float,
+               form: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """`disk_mass_matrix` and its two coordinate derivatives.
+
+    The metric part is analytic (from the jet); the inertia part B comes
+    through the embedding, so dB falls back to finite differences.
+    """
+    mass = disk_mass_matrix(chart, jet, m, I_d, form)
+    dmass = [m * jet.dg[0], m * jet.dg[1]]
+    if I_d != 0.0:
         # dB by 2-point central difference: its O(h^2) ~ 1e-11 truncation is
         # orders below every force-level tolerance, at half the evaluations
         for k in range(2):
@@ -276,7 +291,7 @@ def reduced_disk_rhs(
 
     Solves  d/dt T_v - T_x + V_x = sqrt(a11 a22) L K [[0,-1],[1,0]] v  for
     the coordinate accelerations, with T = (m <A v, v> + I_d w_d^2) / 2.
-    I_d = 0 recovers `magnetic_geodesic_rhs` exactly.
+    I_d = 0 recovers `magnetic_geodesic_rhs` up to rounding.
     """
     if I_d < 0.0:
         raise ValueError("I_d must be nonnegative")
@@ -309,23 +324,6 @@ def magnetic_geodesic_rhs(
     v = state.v
     accel = -np.einsum("kij,i,j->k", jet.christoffel, v, v)
     accel = accel + (L * jet.K / m) * (jet.sqrt_det_g * (jet.g_inv @ (J_FLAT @ v)))
-    accel = accel - (jet.g_inv @ potential.gradient(jet.x)) / m
-    return v.copy(), accel
-
-
-def geodesic_rhs(
-    chart: SurfaceChart,
-    m: float,
-    potential: Potential | None,
-    state: ReducedState,
-):
-    """Uncharged control case: m Dv/dt = -grad V."""
-    if m <= 0.0:
-        raise ValueError("m must be positive")
-    potential = potential if potential is not None else no_potential()
-    jet = geometry_jet(chart, state.x)
-    v = state.v
-    accel = -np.einsum("kij,i,j->k", jet.christoffel, v, v)
     accel = accel - (jet.g_inv @ potential.gradient(jet.x)) / m
     return v.copy(), accel
 
@@ -407,14 +405,6 @@ def top_to_sphere(top: TopParams) -> TopSphereEquivalence:
 # -- energies and Lagrangians -------------------------------------------------
 
 
-def magnetic_energy(chart: SurfaceChart, m: float,
-                    potential: Potential | None, state: ReducedState) -> float:
-    """E = m <v, v>_g / 2 + V; the magnetic force does no work."""
-    potential = potential if potential is not None else no_potential()
-    jet = geometry_jet(chart, state.x)
-    return 0.5 * m * float(state.v @ jet.g @ state.v) + potential.value(jet.x)
-
-
 def reduced_disk_energy(
     chart: SurfaceChart, m: float, I_d: float,
     potential: Potential | None, state: ReducedState,
@@ -423,9 +413,7 @@ def reduced_disk_energy(
     """E = (m <A v, v> + I_d w_d^2) / 2 + V (axial constant dropped)."""
     potential = potential if potential is not None else no_potential()
     jet = geometry_jet(chart, state.x)
-    mass = m * jet.g
-    if I_d != 0.0:
-        mass = mass + I_d * _spin_inertia_matrix(chart, jet.x, omega_d_form)
+    mass = disk_mass_matrix(chart, jet, m, I_d, omega_d_form)
     return 0.5 * float(state.v @ mass @ state.v) + potential.value(jet.x)
 
 
@@ -438,9 +426,7 @@ def full_disk_energy(
     potential = potential if potential is not None else no_potential()
     jet = geometry_jet(chart, state.x)
     omega_a = axial_spin(jet, state)
-    mass = disk.m * jet.g + disk.I_d * _spin_inertia_matrix(
-        chart, jet.x, omega_d_form
-    )
+    mass = disk_mass_matrix(chart, jet, disk.m, disk.I_d, omega_d_form)
     return (
         0.5 * disk.I_a * omega_a**2
         + 0.5 * float(state.v @ mass @ state.v)

@@ -99,18 +99,6 @@ class GeometryJet:
     h: np.ndarray | None = None
     S: np.ndarray | None = None
 
-    @property
-    def a11(self) -> float:
-        return float(self.g[0, 0])
-
-    @property
-    def a12(self) -> float:
-        return float(self.g[0, 1])
-
-    @property
-    def a22(self) -> float:
-        return float(self.g[1, 1])
-
 
 def geometry_jet(chart: SurfaceChart, x, enforce_domain: bool = True) -> GeometryJet:
     """Evaluate the metric jet of `chart` at `x`.

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .charts import SurfaceChart
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     OpenLoopError,
     QuadratureError,
 )
-from .geometry import J_FLAT, curvature_density, geometry_jet
+from .geometry import J_FLAT, _gl_nodes, curvature_density, geometry_jet
 from .integrators import Trajectory
 
 TWO_PI = 2.0 * math.pi
@@ -115,12 +114,6 @@ class HolonomyResult:
     @property
     def mismatch(self) -> float:
         return abs(wrap_angle(self.transport - self.area))
-
-
-def _gl_nodes(lo: float, hi: float, n: int):
-    nodes, weights = leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0), half * weights
 
 
 def _line_integral_f(chart: SurfaceChart, component: int, fixed: float,

@@ -54,6 +54,19 @@ def test_run_json_output(tmp_path):
     assert doc["truncation_reason"] is None
 
 
+@pytest.mark.parametrize("model,params", [
+    ("geodesic", {"m": 1.0}),
+    ("reduced_disk", {"m": 1.0, "I_d": 0.0, "L": 2.0}),
+    ("reduced_disk", {"m": 1.0, "I_d": 0.01, "L": 2.0}),
+])
+def test_run_json_names_surface_model_kind(tmp_path, model, params):
+    cfg = scenario(tmp_path, model=model, params=params)
+    cfg["output"] = {"format": "json", "path": str(tmp_path / "out.json")}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["model"] == model
+
+
 def test_run_subset_of_output_fields(tmp_path):
     cfg = scenario(tmp_path)
     cfg["output"]["fields"] = ["t", "x1", "E"]

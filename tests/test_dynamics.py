@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from gyrosurf import charts, dynamics, models, potentials
-from gyrosurf.errors import DomainError
+from gyrosurf.errors import (
+    DomainError,
+    NonOrthogonalChartError,
+    SingularMassMatrixError,
+)
 from gyrosurf.geometry import geometry_jet
 from gyrosurf.integrators import IntegratorSettings, integrate
 
@@ -117,6 +121,22 @@ def test_charge_sign_mirrors_deflection():
     assert np.max(np.abs(plus.monitors["k_geo"] + minus.monitors["k_geo"])) < 1e-9
 
 
+def test_reduced_disk_on_nonorthogonal_chart():
+    # at I_d = 0 the reduced disk is the magnetic model, which runs on any
+    # chart; the diametral inertia term needs an orthogonal one
+    chart = charts.saddle(1.0)
+    y0 = np.array([0.1, 0.2, 0.5, 0.3])
+    settings = IntegratorSettings(dt=1e-3, n_steps=200, sample_every=20)
+    red = integrate(models.ReducedDiskModel(chart, 1.0, 0.0, 2.0), y0,
+                    settings)
+    mag = integrate(models.MagneticModel(chart, 1.0, 2.0), y0, settings)
+    assert red.model == "reduced_disk"
+    assert not red.truncated
+    assert np.array_equal(red.states, mag.states)
+    with pytest.raises(NonOrthogonalChartError):
+        models.ReducedDiskModel(chart, 1.0, 0.01, 2.0).rhs(y0)
+
+
 def test_inertia_correction_vanishes_linearly():
     # deviation between reduced(I_d) and reduced(0) should scale like I_d
     chart = charts.sphere(1.0)
@@ -193,6 +213,13 @@ def test_top_rhs_conserves_momenta():
         assert np.max(np.abs(track - track[0])) / abs(track[0]) < 1e-9
 
 
+def test_singular_mass_matrix_raises():
+    zero = np.zeros((2, 2))
+    with pytest.raises(SingularMassMatrixError):
+        dynamics.quadratic_el_accel(zero, [zero, zero], np.zeros(2),
+                                    np.zeros(2), [1.0, 0.0])
+
+
 def test_top_rhs_rejects_tilt_near_pole():
     top = dynamics.TopParams(M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)
     state = dynamics.FullState(x=[1e-5, 0.0], v=[0.0, 0.1], theta=0.0,
@@ -206,6 +233,6 @@ def test_potential_enters_geodesic_rhs():
     chart = charts.plane()
     pot = potentials.from_expression("9.8 * x2")
     state = dynamics.ReducedState(x=[0.0, 0.0], v=[1.0, 0.0])
-    _, dv = dynamics.geodesic_rhs(chart, 2.0, pot, state)
+    _, dv = dynamics.magnetic_geodesic_rhs(chart, 2.0, 0.0, pot, state)
     assert dv[0] == pytest.approx(0.0, abs=1e-9)
     assert dv[1] == pytest.approx(-4.9, rel=1e-7)

@@ -5,6 +5,7 @@ import pytest
 
 from gyrosurf import charts
 from gyrosurf.errors import (
+    DegenerateMetricError,
     MissingEmbeddingError,
     NonOrthogonalChartError,
     QuadratureError,
@@ -195,3 +196,12 @@ def test_curvature_needs_embedding_or_orthogonality():
             metric=lambda x: np.array([[1.0, 0.1], [0.1, 1.0]]),
         )
         geometry_jet(ch2, (0.0, 0.0))
+
+
+def test_jet_rejects_degenerate_metric_point():
+    # a22 vanishes on the line x1 = 0.1, which the chart's validation grid
+    # does not sample
+    ch = charts.custom("1", "(x1 - 0.1)^2")
+    geometry_jet(ch, (0.5, 0.0))
+    with pytest.raises(DegenerateMetricError):
+        geometry_jet(ch, (0.1, 0.0))

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gyrosurf import charts, models, potentials
-from gyrosurf.integrators import IntegratorSettings, Trajectory, integrate
+from gyrosurf import charts, dynamics, models, potentials
+from gyrosurf.errors import NonFiniteStateError, SpeedFloorError
+from gyrosurf.integrators import (
+    IntegratorSettings,
+    Trajectory,
+    geodesic_curvature_monitor,
+    integrate,
+)
 
 
 def oscillator_error(scheme, dt):
@@ -78,6 +84,24 @@ def test_geodesic_curvature_monitor_against_embedding():
                      IntegratorSettings(dt=1e-3, n_steps=2000, sample_every=100))
     assert np.max(np.abs(traj.column("x1") - x1)) < 1e-9
     assert np.max(np.abs(traj.monitors["k_geo"] - math.cos(x1) / speed)) < 1e-8
+
+
+class _NaNRate(models.MagneticModel):
+    def rhs(self, y):
+        return np.full(4, np.nan)
+
+
+def test_non_finite_state_aborts():
+    model = _NaNRate(charts.sphere(1.0), 1.0, 2.0)
+    with pytest.raises(NonFiniteStateError):
+        integrate(model, np.array([math.pi / 2, 0.0, 0.0, 1.0]),
+                  IntegratorSettings(dt=1e-3, n_steps=10))
+
+
+def test_curvature_monitor_rejects_stalled_point():
+    state = dynamics.ReducedState(x=[math.pi / 2, 0.0], v=[0.0, 0.0])
+    with pytest.raises(SpeedFloorError):
+        geodesic_curvature_monitor(charts.sphere(1.0), state, [0.0, 0.0])
 
 
 def test_settings_validation():
