@@ -5,9 +5,10 @@ A chart is a rectangle of coordinates x = (x1, x2), a first fundamental form
     ds^2 = a11 dx1^2 + 2 a12 dx1 dx2 + a22 dx2^2,
 
 and, when the surface is realized in R^3, an embedding map r(x1, x2) with its
-first and second coordinate derivatives.  Built-in charts carry analytic
-derivatives; expression-defined charts fall back to 4th-order finite
-differences.
+first and second coordinate derivatives.  Built-in charts carry
+hand-written derivatives; expression-defined charts (`custom`) carry
+kernels compiled from the symbolic derivatives of their expressions.  Both
+are exact up to rounding.
 
 Orientation conventions fixed here and relied on everywhere else:
 
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd
 from .errors import DomainError
-from .expressions import Expression
+from .expressions import ZERO, kernel, parse, partials
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,10 +87,10 @@ class SurfaceChart:
         True when a12 vanishes identically on the chart.
     metric : callable
         x -> (2, 2) first fundamental form.
-    metric_d1, metric_d2 : callable or None
-        Analytic derivative maps x -> (2, 2, 2) and x -> (2, 2, 2, 2) with
-        layout d1[k] = d g / d x_k and d2[k, l] = d^2 g / d x_k d x_l.
-        None selects the finite-difference fallback.
+    metric_d1, metric_d2 : callable
+        Derivative maps x -> (2, 2, 2) and x -> (2, 2, 2, 2) with layout
+        d1[k] = d g / d x_k and d2[k, l] = d^2 g / d x_k d x_l.  Every
+        factory passes both; without them the chart gives no jet.
     embedding, embedding_d1, embedding_d2 : callable or None
         x -> (3,), x -> (2, 3) rows r_k, and x -> (2, 2, 3) entries r_kl.
         embedding=None marks an abstract (metric-only) chart.
@@ -136,24 +136,10 @@ class SurfaceChart:
         return np.asarray(self._metric(np.asarray(x, dtype=float)), dtype=float)
 
     def metric_d1(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._metric_d1 is not None:
-            return np.asarray(self._metric_d1(x), dtype=float)
-        return np.stack(
-            [fd.partial(self.metric, x, k, fd.step(x, k)) for k in range(2)]
-        )
+        return np.asarray(self._metric_d1(np.asarray(x, dtype=float)), dtype=float)
 
     def metric_d2(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._metric_d2 is not None:
-            return np.asarray(self._metric_d2(x), dtype=float)
-        out = np.empty((2, 2, 2, 2))
-        for k in range(2):
-            for l in range(k, 2):
-                val = fd.second_partial(self.metric, x, k, l)
-                out[k, l] = val
-                out[l, k] = val
-        return out
+        return np.asarray(self._metric_d2(np.asarray(x, dtype=float)), dtype=float)
 
     # -- embedding jets -------------------------------------------------
 
@@ -167,25 +153,11 @@ class SurfaceChart:
 
     def embedding_d1(self, x) -> np.ndarray:
         self._require_embedding()
-        x = np.asarray(x, dtype=float)
-        if self._embedding_d1 is not None:
-            return np.asarray(self._embedding_d1(x), dtype=float)
-        return np.stack(
-            [fd.partial(self.embedding, x, k, fd.step(x, k)) for k in range(2)]
-        )
+        return np.asarray(self._embedding_d1(np.asarray(x, dtype=float)), dtype=float)
 
     def embedding_d2(self, x) -> np.ndarray:
         self._require_embedding()
-        x = np.asarray(x, dtype=float)
-        if self._embedding_d2 is not None:
-            return np.asarray(self._embedding_d2(x), dtype=float)
-        out = np.empty((2, 2, 3))
-        for k in range(2):
-            for l in range(k, 2):
-                val = fd.second_partial(self.embedding, x, k, l)
-                out[k, l] = val
-                out[l, k] = val
-        return out
+        return np.asarray(self._embedding_d2(np.asarray(x, dtype=float)), dtype=float)
 
     def _require_embedding(self) -> None:
         if self._embedding is None:
@@ -472,25 +444,30 @@ def custom(
     """Chart from expression strings, orthogonal by construction.
 
     a11 and a22 are expressions in x1, x2; the off-diagonal term is zero.  An
-    optional embedding is three expressions (x, y, z).  All derivatives come
-    from finite differences.  When an embedding is given, its pullback metric
-    is checked against the declared one on a coarse interior grid.
+    optional embedding is three expressions (x, y, z).  The metric, the
+    embedding and their first and second derivatives are each one kernel
+    compiled from the expressions' symbolic partials (see `expressions`), so
+    derivatives are exact up to rounding and a value is the float the text
+    evaluates to.  When an embedding is given, its pullback metric is
+    checked against the declared one on a coarse interior grid.
+
+    Raises ExpressionError for a malformed expression or one that fails on
+    that grid, and ValueError for a metric that is not positive there or an
+    embedding that disagrees with it.
     """
     dom = domain if domain is not None else Domain((-5.0, 5.0), (-5.0, 5.0))
-    f11 = Expression(a11)
-    f22 = Expression(a22)
-
-    def metric(x):
-        return np.array([[f11(x[0], x[1]), 0.0], [0.0, f22(x[0], x[1])]])
-
-    emb = None
+    metric_maps = _jet_maps(
+        [parse(a11), ZERO, ZERO, parse(a22)], (2, 2),
+        f"{a11!r}, {a22!r}",
+    )
+    emb_maps = (None, None, None)
     if embedding is not None:
         if len(embedding) != 3:
             raise ValueError("embedding needs exactly three expressions")
-        comps = [Expression(t) for t in embedding]
-
-        def emb(x, comps=comps):
-            return np.array([c(x[0], x[1]) for c in comps])
+        emb_maps = _jet_maps(
+            [parse(t) for t in embedding], (3,),
+            ", ".join(repr(t) for t in embedding),
+        )
 
     chart = SurfaceChart(
         kind="custom",
@@ -502,11 +479,28 @@ def custom(
         },
         domain=dom,
         orthogonal=True,
-        metric=metric,
-        embedding=emb,
+        metric=metric_maps[0],
+        metric_d1=metric_maps[1],
+        metric_d2=metric_maps[2],
+        embedding=emb_maps[0],
+        embedding_d1=emb_maps[1],
+        embedding_d2=emb_maps[2],
     )
     _validate_custom(chart)
     return chart
+
+
+def _jet_maps(trees: list, shape: tuple, label: str) -> tuple:
+    """Maps x -> value, first and second partials of `trees`, as arrays of
+    shape `shape`, (2,) + shape and (2, 2) + shape."""
+
+    def compiled(order: int):
+        fn = kernel(partials(trees, order),
+                    label if order == 0 else f"order-{order} partials of {label}")
+        full = (2,) * order + shape
+        return lambda x: np.array(fn(*x.tolist())).reshape(full)
+
+    return tuple(compiled(order) for order in range(3))
 
 
 def _validate_custom(chart: SurfaceChart) -> None:

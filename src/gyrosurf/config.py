@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import charts, dynamics, models, potentials
-from .errors import ConfigError
+from .errors import ConfigError, ExpressionError
 from .integrators import SCHEMES, IntegratorSettings, Trajectory
 
 SURFACE_KINDS = ("plane", "sphere", "torus", "cylinder", "saddle", "custom")
@@ -378,7 +378,7 @@ def build_chart(cfg: ScenarioConfig) -> charts.SurfaceChart:
     try:
         return charts.custom(s["a11"], s["a22"],
                              embedding=s.get("embedding"), domain=domain)
-    except ValueError as exc:
+    except (ValueError, ExpressionError) as exc:
         raise ConfigError(str(exc), key="surface")
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd
 from .charts import SurfaceChart, sphere
 from .errors import (
     DomainError,
@@ -223,7 +222,7 @@ def _disk_mass(chart: SurfaceChart, jet: GeometryJet, m: float, I_d: float,
     """`disk_mass_matrix` and its two coordinate derivatives.
 
     The metric part is analytic (from the jet); the inertia part B comes
-    through the embedding, so dB falls back to finite differences.
+    through the embedding, so dB is a central difference.
     """
     mass = disk_mass_matrix(chart, jet, m, I_d, form)
     dmass = [m * jet.dg[0], m * jet.dg[1]]
@@ -231,7 +230,7 @@ def _disk_mass(chart: SurfaceChart, jet: GeometryJet, m: float, I_d: float,
         # dB by 2-point central difference: its O(h^2) ~ 1e-11 truncation is
         # orders below every force-level tolerance, at half the evaluations
         for k in range(2):
-            h_k = fd.step(jet.x, k)
+            h_k = 1e-5 * (1.0 + abs(float(jet.x[k])))
             e = np.zeros(2)
             e[k] = h_k
             dB = (

@@ -1,27 +1,57 @@
-"""Arithmetic expressions in the chart coordinates x1, x2.
+"""Arithmetic expressions in the chart coordinates x1, x2, compiled to kernels.
 
 The accepted grammar is deliberately small: floating literals, the two
 coordinate names, binary + - * / ^, unary minus, parentheses, and the
 functions sin, cos, exp, sqrt.  `^` is right-associative and binds tighter
 than unary minus applied to its base (so `-x1^2` is `-(x1^2)`).
 
-Expressions compile to nested closures once, at parse time; evaluation is a
-plain call with two floats.
+An expression parses to a tree of tuples: ("num", value), ("var", name),
+("neg", a), (op, a, b) for the binary operators and (func, a) for the
+functions.  `derivative` differentiates a tree symbolically; derivative
+trees fold constant subtrees and drop terms of 0 and factors of 1, while
+the tree as written is never rewritten.  `kernel` emits one straight-line
+Python function for a list of trees through generated source and
+`compile`, computing each distinct subtree once into a local.  So a value
+is the same float that evaluating the text left to right gives, and a
+partial derivative is exact up to rounding.
+
+`^` runs as math.pow, which raises where a negative base would give a
+complex number.  A non-constant exponent differentiates through log, a
+kernel function the grammar does not offer.  A kernel raises
+ExpressionError on the ValueError, OverflowError or ZeroDivisionError of
+any step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from .errors import ExpressionError
 
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
+_FUNCTIONS = ("sin", "cos", "exp", "sqrt")
+_BINARY = ("+", "-", "*", "/")
+
+# what a kernel's source may name besides x1 and x2; log appears only in
+# the derivatives of ^ with a non-constant exponent
+_NAMESPACE = {
+    name: getattr(math, name)
+    for name in _FUNCTIONS + ("log", "pow", "inf", "nan")
 }
+
+# the kernel's operations, for constant folding
+_APPLY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+    "neg": operator.neg,
+    **{name: _NAMESPACE[name] for name in _FUNCTIONS + ("log",)},
+}
+
+_ARITH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -53,7 +83,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
-    """Recursive descent over the token list; produces evaluator closures."""
+    """Recursive descent over the token list; produces the expression tree."""
 
     def __init__(self, text: str):
         self.text = text
@@ -73,79 +103,62 @@ class _Parser:
         if kind != "op" or val != op:
             raise ExpressionError(f"expected {op!r} in {self.text!r}, got {val!r}")
 
-    def parse(self):
-        fn = self.sum_()
+    def parse(self) -> tuple:
+        tree = self.sum_()
         kind, val = self.peek()
         if kind != "end":
             raise ExpressionError(f"trailing input {val!r} in {self.text!r}")
-        return fn
+        return tree
 
-    def sum_(self):
-        fn = self.term()
+    def sum_(self) -> tuple:
+        tree = self.term()
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.term()
-                lhs = fn
-                if val == "+":
-                    fn = lambda x1, x2, a=lhs, b=rhs: a(x1, x2) + b(x1, x2)
-                else:
-                    fn = lambda x1, x2, a=lhs, b=rhs: a(x1, x2) - b(x1, x2)
+                tree = (val, tree, self.term())
             else:
-                return fn
+                return tree
 
-    def term(self):
-        fn = self.unary()
+    def term(self) -> tuple:
+        tree = self.unary()
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
-                rhs = self.unary()
-                lhs = fn
-                if val == "*":
-                    fn = lambda x1, x2, a=lhs, b=rhs: a(x1, x2) * b(x1, x2)
-                else:
-                    fn = lambda x1, x2, a=lhs, b=rhs: a(x1, x2) / b(x1, x2)
+                tree = (val, tree, self.unary())
             else:
-                return fn
+                return tree
 
-    def unary(self):
+    def unary(self) -> tuple:
         kind, val = self.peek()
         if kind == "op" and val in "+-":
             self.take()
             inner = self.unary()
-            if val == "-":
-                return lambda x1, x2, a=inner: -a(x1, x2)
-            return inner
+            return ("neg", inner) if val == "-" else inner
         return self.power()
 
-    def power(self):
+    def power(self) -> tuple:
         base = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.take()
             # right-associative; exponent may carry its own unary sign
-            exponent = self.unary()
-            return lambda x1, x2, a=base, b=exponent: a(x1, x2) ** b(x1, x2)
+            return ("^", base, self.unary())
         return base
 
-    def atom(self):
+    def atom(self) -> tuple:
         kind, val = self.take()
         if kind == "num":
-            const = float(val)
-            return lambda x1, x2, c=const: c
+            return ("num", float(val))
         if kind == "name":
-            if val == "x1":
-                return lambda x1, x2: x1
-            if val == "x2":
-                return lambda x1, x2: x2
+            if val in ("x1", "x2"):
+                return ("var", val)
             if val in _FUNCTIONS:
-                func = _FUNCTIONS[val]
                 self.expect_op("(")
                 arg = self.sum_()
                 self.expect_op(")")
-                return lambda x1, x2, f=func, a=arg: f(a(x1, x2))
+                return (val, arg)
             raise ExpressionError(f"unknown name {val!r} in {self.text!r}")
         if kind == "op" and val == "(":
             inner = self.sum_()
@@ -154,22 +167,208 @@ class _Parser:
         raise ExpressionError(f"unexpected token {val!r} in {self.text!r}")
 
 
+# -- symbolic derivatives ----------------------------------------------------
+
+ZERO = ("num", 0.0)
+ONE = ("num", 1.0)
+_TWO = ("num", 2.0)
+
+
+def _num(value: float) -> tuple:
+    return ZERO if value == 0.0 else ("num", value)
+
+
+def _make(op: str, *args: tuple) -> tuple:
+    """Node of a derivative tree: constants folded, 0 and 1 pruned."""
+    if all(a[0] == "num" for a in args):
+        try:
+            return _num(_APPLY[op](*(a[1] for a in args)))
+        except _ARITH_ERRORS:
+            return (op, *args)  # fails at run time, as the written tree would
+    a = args[0]
+    if op == "neg":
+        return a[1] if a[0] == "neg" else (op, a)
+    b = args[-1]
+    if op == "+":
+        if a == ZERO:
+            return b
+        if b == ZERO:
+            return a
+    elif op == "-":
+        if b == ZERO:
+            return a
+        if a == ZERO:
+            return _make("neg", b)
+    elif op == "*":
+        if a == ZERO or b == ZERO:
+            return ZERO
+        if a == ONE:
+            return b
+        if b == ONE:
+            return a
+    elif op == "/":
+        if a == ZERO:
+            return ZERO
+        if b == ONE:
+            return a
+    elif op == "^":
+        if b == ONE:
+            return a
+        if b == ZERO:
+            return ONE
+    return (op, *args)
+
+
+def _fold(tree: tuple) -> tuple:
+    """The tree rebuilt through `_make`; a constant subtree becomes a number."""
+    if tree[0] in ("num", "var"):
+        return tree
+    return _make(tree[0], *(_fold(a) for a in tree[1:]))
+
+
+def derivative(tree: tuple, var: str) -> tuple:
+    """Tree of d tree / d var, for var "x1" or "x2"."""
+    op = tree[0]
+    if op == "num":
+        return ZERO
+    if op == "var":
+        return ONE if tree[1] == var else ZERO
+    a = tree[1]
+    da = derivative(a, var)
+    if op == "neg":
+        return _make("neg", da)
+    if op == "sin":
+        return _make("*", _make("cos", a), da)
+    if op == "cos":
+        return _make("neg", _make("*", _make("sin", a), da))
+    if op == "exp":
+        return _make("*", tree, da)
+    if op == "sqrt":
+        return _make("/", da, _make("*", _TWO, tree))
+    if op == "log":
+        return _make("/", da, a)
+    b = tree[2]
+    db = derivative(b, var)
+    if op in ("+", "-"):
+        return _make(op, da, db)
+    if op == "*":
+        return _make("+", _make("*", da, b), _make("*", a, db))
+    if op == "/":
+        # (a' - (a/b) b') / b reuses the quotient the value computes
+        return _make("/", _make("-", da, _make("*", tree, db)), b)
+    exponent = _fold(b)
+    if exponent[0] == "num":
+        c = exponent
+        return _make("*", _make("*", c, _make("^", a, _num(c[1] - 1.0))), da)
+    # d(a^b) = a^b (b' log a + b a' / a)
+    return _make("*", tree, _make("+", _make("*", db, _make("log", a)),
+                                  _make("/", _make("*", b, da), a)))
+
+
+def partials(trees: list[tuple], order: int) -> list[tuple]:
+    """All partials of one order, derivative index major.
+
+    Order 0 is the trees themselves, order 1 is [d/dx1 of each tree] then
+    [d/dx2 of each], and order 2 is the blocks (1, 1), (1, 2), (2, 1),
+    (2, 2), the two mixed blocks being the same trees.  Reshaped to
+    (2,) * order + (len(trees),) this is the layout d[k, l] = d^2 / dx_k dx_l.
+    """
+    if order == 0:
+        return list(trees)
+    d1 = [derivative(t, "x1") for t in trees]
+    d2 = [derivative(t, "x2") for t in trees]
+    if order == 1:
+        return d1 + d2
+    d12 = [derivative(t, "x2") for t in d1]
+    return [derivative(t, "x1") for t in d1] + d12 + d12 + [
+        derivative(t, "x2") for t in d2
+    ]
+
+
+# -- code generation ---------------------------------------------------------
+
+
+def _const_source(value: float) -> str:
+    text = repr(value)
+    return f"({text})" if value < 0.0 else text
+
+
+def _kernel_source(trees: list[tuple]) -> str:
+    """Source of `def kernel(x1, x2)` returning the tuple of tree values.
+
+    Every distinct compound subtree is one local, assigned in evaluation
+    order, so the function body is straight-line code.
+    """
+    names: dict[tuple, str] = {}
+    lines = []
+
+    def emit(tree: tuple) -> str:
+        op = tree[0]
+        if op == "num":
+            return _const_source(tree[1])
+        if op == "var":
+            return tree[1]
+        name = names.get(tree)
+        if name is not None:
+            return name
+        args = [emit(a) for a in tree[1:]]
+        if op == "neg":
+            src = f"-{args[0]}"
+        elif op in _BINARY:
+            src = f"{args[0]} {op} {args[1]}"
+        elif op == "^":
+            src = f"pow({args[0]}, {args[1]})"
+        else:
+            src = f"{op}({args[0]})"
+        name = names[tree] = f"t{len(names)}"
+        lines.append(f"        {name} = {src}")
+        return name
+
+    outputs = [emit(t) for t in trees]
+    return "\n".join([
+        "def kernel(x1, x2):",
+        "    try:",
+        *lines,
+        f"        return ({''.join(o + ', ' for o in outputs)})",
+        "    except _ARITH_ERRORS as exc:",
+        "        raise _failure(exc, x1, x2) from exc",
+    ])
+
+
+def kernel(trees: list[tuple], label: str):
+    """Compile `trees` to one function (x1, x2) -> tuple of floats.
+
+    Arguments must be Python floats.  `label` names the expressions in the
+    ExpressionError a failing step raises.
+    """
+
+    def failure(exc, x1, x2):
+        return ExpressionError(
+            f"evaluation of {label} failed at ({x1}, {x2}): {exc}"
+        )
+
+    namespace = dict(_NAMESPACE, _ARITH_ERRORS=_ARITH_ERRORS, _failure=failure)
+    exec(compile(_kernel_source(trees), f"<kernel {label}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def parse(text: str) -> tuple:
+    """The tree of an expression string; ExpressionError if malformed."""
+    if not isinstance(text, str) or not text.strip():
+        raise ExpressionError("expression must be a non-empty string")
+    return _Parser(text).parse()
+
+
 class Expression:
-    """A compiled expression of (x1, x2)."""
+    """A parsed expression of (x1, x2) with its compiled value kernel."""
 
     def __init__(self, text: str):
-        if not isinstance(text, str) or not text.strip():
-            raise ExpressionError("expression must be a non-empty string")
+        self.tree = parse(text)
         self.text = text
-        self._fn = _Parser(text).parse()
+        self._fn = kernel([self.tree], repr(text))
 
     def __call__(self, x1: float, x2: float) -> float:
-        try:
-            return float(self._fn(float(x1), float(x2)))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ExpressionError(
-                f"evaluation of {self.text!r} failed at ({x1}, {x2}): {exc}"
-            ) from exc
+        return self._fn(float(x1), float(x2))[0]
 
     def __repr__(self) -> str:
         return f"Expression({self.text!r})"

@@ -134,6 +134,10 @@ def geometry_jet(chart: SurfaceChart, x, enforce_domain: bool = True) -> Geometr
         raise DegenerateMetricError(f"metric degenerate at x = {x}")
     g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det_g
     sqrt_det_g = math.sqrt(det_g)
+    if not chart.orthogonal and not chart.has_embedding:
+        raise MissingEmbeddingError(
+            "non-orthogonal chart needs an embedding to define curvature"
+        )
 
     dg = chart.metric_d1(x)
     # Gamma^k_ij = g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) / 2
@@ -178,10 +182,6 @@ def geometry_jet(chart: SurfaceChart, x, enforce_domain: bool = True) -> Geometr
             k1=float(k1), k2=float(k2), f=f, df=df, h=h, S=S,
         )
 
-    if S is None:
-        raise MissingEmbeddingError(
-            "non-orthogonal chart needs an embedding to define curvature"
-        )
     K = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]) / det_g
     return GeometryJet(
         x=x, g=g, g_inv=g_inv, det_g=det_g, sqrt_det_g=sqrt_det_g, dg=dg,

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from . import fd
-from .expressions import Expression
+from .expressions import Expression, kernel, partials
 
 
 class Potential:
@@ -53,13 +52,18 @@ def axis_cosine(c: float) -> Potential:
 
 
 def from_expression(text: str) -> Potential:
-    """Potential from an expression in x1, x2; FD gradient."""
+    """Potential from an expression in x1, x2.
+
+    The gradient is one kernel compiled from the expression's symbolic
+    partials (see `expressions`), exact up to rounding.
+    """
     expr = Expression(text)
+    grad = kernel(partials([expr.tree], 1), f"gradient of {text!r}")
 
     def value(x):
         return expr(x[0], x[1])
 
     def gradient(x):
-        return fd.gradient(value, x)
+        return np.array(grad(*x.tolist()))
 
     return Potential("custom", {"expression": text}, value, gradient)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import charts, dynamics, models, potentials, verify
 from .geometry import gauss_bonnet_patch_K, geometry_jet, rotate90
@@ -232,16 +231,19 @@ def dynamics_checks() -> list[CheckResult]:
 
 def steady_precession_rate(top: dynamics.TopParams, x1: float,
                            omega_a: float) -> float:
-    """Slow root of I1 W^2 cos(x1) - I3 omega_a W + M g ell = 0."""
-    c = math.cos(x1)
+    """Slow root of I1 W^2 cos(x1) - I3 omega_a W + M g ell = 0.
 
-    def poly(W):
-        return top.I1 * W * W * c - top.I3 * omega_a * W + top.M * top.g * top.ell
-
-    hi = top.I3 * omega_a / (2.0 * top.I1 * c)
-    if poly(hi) > 0.0:
+    With A = I1 cos(x1), B = I3 omega_a and C = M g ell the root is
+    W = 2 C / (B + sqrt(B^2 - 4 A C)), which stays exact as A -> 0 and also
+    holds for a top below the horizontal (A < 0).
+    """
+    A = top.I1 * math.cos(x1)
+    B = top.I3 * omega_a
+    C = top.M * top.g * top.ell
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
         raise ValueError("no real precession rate: spin too slow")
-    return float(brentq(poly, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    return 2.0 * C / (B + math.sqrt(disc))
 
 
 def top_checks() -> list[CheckResult]:

@@ -30,7 +30,7 @@ from .integrators import Trajectory
 
 TWO_PI = 2.0 * math.pi
 
-# local FD steps, deliberately not imported from the fd module
+# finite-difference steps of the residual oracle
 _Q_STEP = 1e-5
 _V_STEP = 1e-3
 

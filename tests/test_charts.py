@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gyrosurf import charts
+from gyrosurf import charts, models
 from gyrosurf.errors import DomainError
+from gyrosurf.geometry import geometry_jet
+from gyrosurf.integrators import IntegratorSettings, integrate
 
 
 def numeric_pullback(chart, x, h=1e-6):
@@ -113,9 +115,47 @@ def test_custom_chart_polar_plane():
     assert g[0, 0] == pytest.approx(1.0)
     assert g[1, 1] == pytest.approx(4.0)
     assert chart.has_embedding
-    # FD fallback derivative against the exact d(a22)/dx1 = 2 x1
+    # compiled derivative against the exact d(a22)/dx1 = 2 x1
     dg = chart.metric_d1([2.0, 1.0])
-    assert abs(dg[0][1, 1] - 4.0) < 1e-5
+    assert abs(dg[0][1, 1] - 4.0) < 1e-12
+
+
+def expression_sphere(R):
+    return charts.custom(
+        f"{R * R!r}", f"{R * R!r} * sin(x1)^2",
+        embedding=(f"{R!r} * sin(x1) * cos(x2)", f"{R!r} * sin(x1) * sin(x2)",
+                   f"{R!r} * cos(x1)"),
+        domain=charts.Domain((0.3, math.pi - 0.3), (0.0, 2 * math.pi),
+                             periodic_x2=True),
+    )
+
+
+def test_expression_sphere_jet_matches_builtin():
+    R = 1.3
+    custom, builtin = expression_sphere(R), charts.sphere(R)
+    for x1 in np.linspace(0.35, math.pi - 0.35, 9):
+        x = np.array([x1, 2.0 * x1])
+        a, b = geometry_jet(custom, x), geometry_jet(builtin, x)
+        for name in ("g", "dg", "h", "S", "f", "df", "K"):
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-12
+        assert np.max(np.abs(custom.metric_d2(x) - builtin.metric_d2(x))) < 1e-12
+
+
+def test_expression_sphere_runs_match_builtin():
+    # exact kernel derivatives: the same runs to rounding, and the reduced
+    # disk conserves energy on the expression chart
+    R = 1.3
+    custom, builtin = expression_sphere(R), charts.sphere(R)
+    y0 = np.array([1.2, 0.0, 0.2, 0.3])
+    settings = IntegratorSettings(dt=1e-3, n_steps=2000, sample_every=20)
+    for make in (lambda ch: models.MagneticModel(ch, 1.0, 2.0),
+                 lambda ch: models.ReducedDiskModel(ch, 1.0, 0.01, 2.0)):
+        a = integrate(make(custom), y0, settings)
+        b = integrate(make(builtin), y0, settings)
+        assert not a.truncated and not b.truncated
+        assert np.max(np.abs(a.states - b.states)) < 1e-12
+    E = a.monitors["E"]
+    assert np.max(np.abs(E - E[0])) / max(1.0, abs(E[0])) < 1e-10
 
 
 def test_custom_chart_rejects_mismatched_embedding():

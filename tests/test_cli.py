@@ -275,3 +275,27 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("a22", ["sin(", "sqrt(x1 - 2)", "x1^0.5 + 2"])
+def test_malformed_surface_expression_is_config_error(tmp_path, capsys, a22):
+    # a parse error, a sqrt domain error and a negative base under a
+    # fractional power, the last two met on the chart's validation grid
+    cfg = scenario(tmp_path, surface={
+        "kind": "custom", "a11": "1", "a22": a22,
+        "x1_range": [-1.0, 1.0], "x2_range": [-1.0, 1.0],
+    })
+    cfg["initial"] = {"x": [0.5, 0.0], "v": [0.0, 1.0]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "config error: surface:" in capsys.readouterr().err
+
+
+def test_potential_failing_at_run_time_is_numeric_error(tmp_path, capsys):
+    # x1^0.5 has no real value at x1 < 0, where the run starts
+    cfg = scenario(tmp_path, surface={"kind": "plane"},
+                   potential={"kind": "expression", "text": "x1^0.5"})
+    cfg["initial"] = {"x": [-1.0, 0.0], "v": [0.0, 1.0]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: evaluation of")
+    assert "Traceback" not in err

@@ -11,6 +11,7 @@ from gyrosurf.errors import (
 )
 from gyrosurf.geometry import geometry_jet
 from gyrosurf.integrators import IntegratorSettings, integrate
+from gyrosurf.suites import steady_precession_rate
 
 
 def test_parallel_transport_rate_latitude():
@@ -65,6 +66,19 @@ def test_top_to_sphere_parameters_exact():
     # m R^2 = I1 and m g R = M g ell hold identically
     assert eq.m * eq.R**2 == top.I1
     assert eq.m * top.g * eq.R == pytest.approx(top.M * top.g * top.ell)
+
+
+def test_steady_precession_rate_is_the_slow_root():
+    # x1 = 2 puts the top below the horizontal (cos x1 < 0): a root exists
+    top = dynamics.TopParams(M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)
+    for x1, omega_a in ((math.pi / 3, 30.0), (2.0, 30.0)):
+        W = steady_precession_rate(top, x1, omega_a)
+        residual = (top.I1 * W * W * math.cos(x1) - top.I3 * omega_a * W
+                    + top.M * top.g * top.ell)
+        assert 0.0 < W < 1.0
+        assert abs(residual) < 1e-12
+    with pytest.raises(ValueError):
+        steady_precession_rate(top, 0.5, 1.0)
 
 
 def test_reduced_zero_inertia_matches_magnetic_rhs():

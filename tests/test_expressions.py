@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gyrosurf.errors import ExpressionError
-from gyrosurf.expressions import Expression
+from gyrosurf.expressions import Expression, kernel, partials
 
 
 def test_literals_and_variables():
@@ -62,3 +63,70 @@ def test_evaluation_errors_are_wrapped():
         Expression("1 / x1")(0.0, 0.0)
     with pytest.raises(ExpressionError):
         Expression("sqrt(x1)")(-1.0, 0.0)
+
+
+def test_power_of_negative_base():
+    assert Expression("x1^3")(-2.0, 0.0) == -8.0
+    with pytest.raises(ExpressionError):
+        Expression("x1^0.5")(-1.0, 0.0)
+    with pytest.raises(ExpressionError):
+        Expression("x1^x2")(-1.0, 0.5)
+
+
+def test_value_is_the_tree_as_written():
+    # derivative trees drop factors of 0; values never do
+    assert math.isnan(Expression("0 * x1")(math.inf, 0.0))
+    assert math.isnan(Expression("x1 - x1")(math.inf, 0.0))
+
+
+def test_derivative_kernel_errors_are_wrapped():
+    grad = kernel(partials([Expression("sqrt(x1)").tree], 1), "'sqrt(x1)'")
+    assert grad(4.0, 0.0) == (0.25, 0.0)
+    with pytest.raises(ExpressionError):
+        grad(0.0, 0.0)
+
+
+# Every grammar node, ^ with a constant and a non-constant exponent, each
+# with its first and second partials (d1, d2) and (d11, d12, d22) written
+# out by hand.
+PARTIALS_BY_HAND = [
+    ("+x1 * x2 - 3",
+     lambda a, b: (b, a),
+     lambda a, b: (0.0, 1.0, 0.0)),
+    ("x1 / x2 + -x2",
+     lambda a, b: (1 / b, -a / b**2 - 1),
+     lambda a, b: (0.0, -1 / b**2, 2 * a / b**3)),
+    ("sin(x1) * cos(x2)",
+     lambda a, b: (math.cos(a) * math.cos(b), -math.sin(a) * math.sin(b)),
+     lambda a, b: (-math.sin(a) * math.cos(b), -math.cos(a) * math.sin(b),
+                   -math.sin(a) * math.cos(b))),
+    ("exp(x1 * x2)",
+     lambda a, b: (b * math.exp(a * b), a * math.exp(a * b)),
+     lambda a, b: (b * b * math.exp(a * b), (1 + a * b) * math.exp(a * b),
+                   a * a * math.exp(a * b))),
+    ("sqrt(x1^2 + x2^2)",
+     lambda a, b: (a / math.hypot(a, b), b / math.hypot(a, b)),
+     lambda a, b: (b * b / math.hypot(a, b)**3, -a * b / math.hypot(a, b)**3,
+                   a * a / math.hypot(a, b)**3)),
+    ("x1^x2",
+     lambda a, b: (b * a**(b - 1), a**b * math.log(a)),
+     lambda a, b: (b * (b - 1) * a**(b - 2), a**(b - 1) * (1 + b * math.log(a)),
+                   a**b * math.log(a)**2)),
+    ("2^x1 - x2^-1.5",
+     lambda a, b: (2**a * math.log(2), 1.5 * b**-2.5),
+     lambda a, b: (2**a * math.log(2)**2, 0.0, -3.75 * b**-3.5)),
+]
+
+
+@pytest.mark.parametrize("text,first,second", PARTIALS_BY_HAND,
+                         ids=[case[0] for case in PARTIALS_BY_HAND])
+@settings(max_examples=40, deadline=None)
+@given(x1=st.floats(0.5, 2.0), x2=st.floats(0.5, 2.0))
+def test_kernel_partials_match_closed_forms(text, first, second, x1, x2):
+    tree = Expression(text).tree
+    d1 = kernel(partials([tree], 1), text)(x1, x2)
+    d11, d12, d21, d22 = kernel(partials([tree], 2), text)(x1, x2)
+    assert d12 == d21
+    for got, want in zip(d1 + (d11, d12, d22),
+                         first(x1, x2) + second(x1, x2)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
