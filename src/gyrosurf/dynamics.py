@@ -52,7 +52,7 @@ class DiskParams:
     m : total mass
     I_a : moment of inertia about the symmetry axis
     I_d : moment of inertia about a diameter
-    R_disk : disk radius (used by the small-disk energy bound)
+    R_disk : disk radius; no computation reads it
     """
 
     m: float

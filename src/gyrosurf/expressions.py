@@ -53,6 +53,10 @@ _APPLY = {
 
 _ARITH_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
+# deepest nesting `parse` accepts, in the parser and in the tree; every
+# stage after it (derivatives, code generation) recurses over the tree
+MAX_DEPTH = 64
+
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
@@ -89,6 +93,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -131,12 +136,20 @@ class _Parser:
                 return tree
 
     def unary(self) -> tuple:
+        # every recursion (parentheses, functions, signs, exponents) passes
+        # through here, so this counts the nesting
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(self.text)
         kind, val = self.peek()
         if kind == "op" and val in "+-":
             self.take()
             inner = self.unary()
-            return ("neg", inner) if val == "-" else inner
-        return self.power()
+            tree = ("neg", inner) if val == "-" else inner
+        else:
+            tree = self.power()
+        self.depth -= 1
+        return tree
 
     def power(self) -> tuple:
         base = self.atom()
@@ -256,7 +269,8 @@ def derivative(tree: tuple, var: str) -> tuple:
     if op == "/":
         # (a' - (a/b) b') / b reuses the quotient the value computes
         return _make("/", _make("-", da, _make("*", tree, db)), b)
-    exponent = _fold(b)
+    # only a constant exponent has derivative 0; fold just those
+    exponent = _fold(b) if db == ZERO else b
     if exponent[0] == "num":
         c = exponent
         return _make("*", _make("*", c, _make("^", a, _num(c[1] - 1.0))), da)
@@ -299,7 +313,11 @@ def _kernel_source(trees: list[tuple]) -> str:
     Every distinct compound subtree is one local, assigned in evaluation
     order, so the function body is straight-line code.
     """
+    # a subtree is keyed by its operator and its operands' sources, so a
+    # lookup never hashes a whole tree; `seen` skips subtree objects that
+    # derivative trees share
     names: dict[tuple, str] = {}
+    seen: dict[int, str] = {}
     lines = []
 
     def emit(tree: tuple) -> str:
@@ -308,20 +326,24 @@ def _kernel_source(trees: list[tuple]) -> str:
             return _const_source(tree[1])
         if op == "var":
             return tree[1]
-        name = names.get(tree)
+        name = seen.get(id(tree))
         if name is not None:
             return name
         args = [emit(a) for a in tree[1:]]
-        if op == "neg":
-            src = f"-{args[0]}"
-        elif op in _BINARY:
-            src = f"{args[0]} {op} {args[1]}"
-        elif op == "^":
-            src = f"pow({args[0]}, {args[1]})"
-        else:
-            src = f"{op}({args[0]})"
-        name = names[tree] = f"t{len(names)}"
-        lines.append(f"        {name} = {src}")
+        key = (op, *args)
+        name = names.get(key)
+        if name is None:
+            if op == "neg":
+                src = f"-{args[0]}"
+            elif op in _BINARY:
+                src = f"{args[0]} {op} {args[1]}"
+            elif op == "^":
+                src = f"pow({args[0]}, {args[1]})"
+            else:
+                src = f"{op}({args[0]})"
+            name = names[key] = f"t{len(names)}"
+            lines.append(f"        {name} = {src}")
+        seen[id(tree)] = name
         return name
 
     outputs = [emit(t) for t in trees]
@@ -352,11 +374,35 @@ def kernel(trees: list[tuple], label: str):
     return namespace["kernel"]
 
 
+def _too_deep(text: str) -> ExpressionError:
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    return ExpressionError(
+        f"expression {shown!r} nests deeper than {MAX_DEPTH} levels")
+
+
+def _depth(tree: tuple) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((a, depth + 1) for a in node[1:] if isinstance(a, tuple))
+    return deepest
+
+
 def parse(text: str) -> tuple:
-    """The tree of an expression string; ExpressionError if malformed."""
+    """The tree of an expression string.
+
+    Raises ExpressionError if the text is malformed or nests deeper than
+    MAX_DEPTH levels, in parentheses or in its tree (a long sum is a deep
+    tree).
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a non-empty string")
-    return _Parser(text).parse()
+    tree = _Parser(text).parse()
+    if _depth(tree) > MAX_DEPTH:
+        raise _too_deep(text)
+    return tree
 
 
 class Expression:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gyrosurf import charts, models
-from gyrosurf.errors import DomainError
+from gyrosurf.errors import DegenerateMetricError, DomainError
 from gyrosurf.geometry import geometry_jet
 from gyrosurf.integrators import IntegratorSettings, integrate
 
@@ -35,6 +35,20 @@ def test_factory_domains():
 
     assert charts.plane().orthogonal
     assert not charts.saddle(1.0).orthogonal
+
+
+def test_numpy_parameter_is_spliced_as_float():
+    a, b = charts.saddle(np.float64(1.2)), charts.saddle(1.2)
+    for x in ([0.3, -0.7], [1.5, 2.0]):
+        for name in ("metric", "metric_d1", "metric_d2", "embedding",
+                     "embedding_d1", "embedding_d2"):
+            assert np.array_equal(getattr(a, name)(x), getattr(b, name)(x))
+
+
+def test_huge_sphere_builds_and_degenerates():
+    chart = charts.sphere(1e200)  # R^2 overflows to infinity
+    with pytest.raises(DegenerateMetricError):
+        geometry_jet(chart, [1.0, 0.0])
 
 
 def test_wrap_and_contains():
@@ -120,41 +134,74 @@ def test_custom_chart_polar_plane():
     assert abs(dg[0][1, 1] - 4.0) < 1e-12
 
 
-def expression_sphere(R):
-    return charts.custom(
-        f"{R * R!r}", f"{R * R!r} * sin(x1)^2",
-        embedding=(f"{R!r} * sin(x1) * cos(x2)", f"{R!r} * sin(x1) * sin(x2)",
-                   f"{R!r} * cos(x1)"),
-        domain=charts.Domain((0.3, math.pi - 0.3), (0.0, 2 * math.pi),
-                             periodic_x2=True),
-    )
+def sphere_closed_form(R, x):
+    """Jet of the sphere of radius R at x, written out by hand."""
+    s, c = math.sin(x[0]), math.cos(x[0])
+    sp, cp = math.sin(x[1]), math.cos(x[1])
+    R2 = R * R
+    dg = np.zeros((2, 2, 2))
+    dg[0, 1, 1] = 2 * R2 * s * c
+    d2g = np.zeros((2, 2, 2, 2))
+    d2g[0, 0, 1, 1] = 2 * R2 * (c * c - s * s)
+    return {
+        "g": np.diag([R2, R2 * s * s]), "dg": dg, "d2g": d2g,
+        "r_k": R * np.array([[c * cp, c * sp, -s], [-s * sp, s * cp, 0.0]]),
+        "r_kl": R * np.array([[[-s * cp, -s * sp, -c], [-c * sp, c * cp, 0.0]],
+                              [[-c * sp, c * cp, 0.0], [-s * cp, -s * sp, 0.0]]]),
+        # outward normal
+        "h": np.diag([-R, -R * s * s]),
+        "f": np.array([0.0, c]), "df": np.array([[0.0, 0.0], [-s, 0.0]]),
+        "K": 1.0 / R2,
+    }
 
 
-def test_expression_sphere_jet_matches_builtin():
-    R = 1.3
-    custom, builtin = expression_sphere(R), charts.sphere(R)
+def torus_closed_form(R0, r, x):
+    """Jet of the torus (R0, r) at x, written out by hand."""
+    s, c = math.sin(x[0]), math.cos(x[0])
+    sp, cp = math.sin(x[1]), math.cos(x[1])
+    w = R0 + r * c
+    dg = np.zeros((2, 2, 2))
+    dg[0, 1, 1] = -2 * r * s * w
+    d2g = np.zeros((2, 2, 2, 2))
+    d2g[0, 0, 1, 1] = 2 * r * r * s * s - 2 * r * c * w
+    return {
+        "g": np.diag([r * r, w * w]), "dg": dg, "d2g": d2g,
+        "r_k": np.array([[-r * s * cp, -r * s * sp, r * c], [-w * sp, w * cp, 0.0]]),
+        "r_kl": np.array([[[-r * c * cp, -r * c * sp, -r * s],
+                           [r * s * sp, -r * s * cp, 0.0]],
+                          [[r * s * sp, -r * s * cp, 0.0],
+                           [-w * cp, -w * sp, 0.0]]]),
+        # r_1 x r_2 points into the tube
+        "h": np.diag([r, w * c]),
+        "f": np.array([0.0, -s]), "df": np.array([[0.0, 0.0], [-c, 0.0]]),
+        "K": c / (r * w),
+    }
+
+
+@pytest.mark.parametrize("chart,closed_form", [
+    (charts.sphere(1.3), lambda x: sphere_closed_form(1.3, x)),
+    (charts.torus(2.0, 0.6), lambda x: torus_closed_form(2.0, 0.6, x)),
+], ids=["sphere", "torus"])
+def test_jet_matches_closed_form(chart, closed_form):
+    rng = np.random.default_rng(13)
     for x1 in np.linspace(0.35, math.pi - 0.35, 9):
-        x = np.array([x1, 2.0 * x1])
-        a, b = geometry_jet(custom, x), geometry_jet(builtin, x)
-        for name in ("g", "dg", "h", "S", "f", "df", "K"):
-            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-12
-        assert np.max(np.abs(custom.metric_d2(x) - builtin.metric_d2(x))) < 1e-12
+        x = np.array([x1, rng.uniform(0.0, 2 * math.pi)])
+        jet, want = geometry_jet(chart, x), closed_form(x)
+        got = {"g": jet.g, "dg": jet.dg, "d2g": chart.metric_d2(x),
+               "r_k": chart.embedding_d1(x), "r_kl": chart.embedding_d2(x),
+               "h": jet.h, "f": jet.f, "df": jet.df, "K": jet.K}
+        for name, value in want.items():
+            assert np.max(np.abs(got[name] - value)) < 1e-12, name
 
 
-def test_expression_sphere_runs_match_builtin():
-    # exact kernel derivatives: the same runs to rounding, and the reduced
-    # disk conserves energy on the expression chart
-    R = 1.3
-    custom, builtin = expression_sphere(R), charts.sphere(R)
+def test_reduced_disk_conserves_energy_on_sphere():
+    # exact kernel derivatives: the reduced disk conserves energy to rounding
+    model = models.ReducedDiskModel(charts.sphere(1.3), 1.0, 0.01, 2.0)
     y0 = np.array([1.2, 0.0, 0.2, 0.3])
     settings = IntegratorSettings(dt=1e-3, n_steps=2000, sample_every=20)
-    for make in (lambda ch: models.MagneticModel(ch, 1.0, 2.0),
-                 lambda ch: models.ReducedDiskModel(ch, 1.0, 0.01, 2.0)):
-        a = integrate(make(custom), y0, settings)
-        b = integrate(make(builtin), y0, settings)
-        assert not a.truncated and not b.truncated
-        assert np.max(np.abs(a.states - b.states)) < 1e-12
-    E = a.monitors["E"]
+    traj = integrate(model, y0, settings)
+    assert not traj.truncated
+    E = traj.monitors["E"]
     assert np.max(np.abs(E - E[0])) / max(1.0, abs(E[0])) < 1e-10
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from gyrosurf.cli import main
 from gyrosurf.config import ScenarioConfig, parse_scenario
+from test_expressions import DEEP_SHAPES
 
 
 def scenario(tmp_path, out_name="out.csv", **overrides):
@@ -299,3 +300,40 @@ def test_potential_failing_at_run_time_is_numeric_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error: evaluation of")
     assert "Traceback" not in err
+
+
+def deep_surface_scenario(tmp_path, a22):
+    cfg = scenario(tmp_path, surface={
+        "kind": "custom", "a11": "1", "a22": a22,
+        "x1_range": [0.5, 1.0], "x2_range": [0.5, 1.0],
+    })
+    cfg["initial"] = {"x": [0.75, 0.75], "v": [0.1, 0.1]}
+    cfg["integrator"] = {"dt": 1e-3, "n_steps": 10, "sample_every": 5}
+    return write_config(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("shape,n_cap", [s[1:] for s in DEEP_SHAPES],
+                         ids=[s[0] for s in DEEP_SHAPES])
+def test_deep_surface_expression(tmp_path, capsys, shape, n_cap):
+    # at the nesting cap the chart runs; one past it is a config error
+    assert main(["run", deep_surface_scenario(tmp_path, shape(n_cap))]) == 0
+    capsys.readouterr()
+    assert main(["run", deep_surface_scenario(tmp_path, shape(n_cap + 1))]) == 2
+    err = capsys.readouterr().err
+    assert "config error: surface:" in err and "nests deeper" in err
+
+
+@pytest.mark.parametrize("a22", ["(" * 400 + "x1" + ")" * 400,
+                                 " + ".join(["x1"] * 3000)],
+                         ids=["400_parentheses", "3000_term_sum"])
+def test_very_deep_surface_expression_is_config_error(tmp_path, capsys, a22):
+    assert main(["run", deep_surface_scenario(tmp_path, a22)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: surface:" in err and "Traceback" not in err
+
+
+def test_huge_sphere_is_degenerate(tmp_path, capsys):
+    # R^2 overflows to infinity: the chart builds, the first jet fails
+    cfg = scenario(tmp_path, surface={"kind": "sphere", "R": 1e200})
+    assert main(["run", write_config(tmp_path, cfg)]) == 1
+    assert "metric degenerate" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gyrosurf.errors import ExpressionError
-from gyrosurf.expressions import Expression, kernel, partials
+from gyrosurf.expressions import MAX_DEPTH, Expression, kernel, parse, partials
 
 
 def test_literals_and_variables():
@@ -130,3 +130,26 @@ def test_kernel_partials_match_closed_forms(text, first, second, x1, x2):
     for got, want in zip(d1 + (d11, d12, d22),
                          first(x1, x2) + second(x1, x2)):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# Shapes that once overflowed the recursion limit: (name, text of size n,
+# largest n within MAX_DEPTH).  Parentheses nest only in the parser; the
+# others nest in the tree as well.
+DEEP_SHAPES = [
+    ("parentheses", lambda n: "(" * n + "x1" + ")" * n, MAX_DEPTH - 1),
+    ("sin", lambda n: "sin(" * n + "x1" + ")" * n, MAX_DEPTH - 1),
+    ("power_chain", lambda n: "^".join(["x1"] * n), MAX_DEPTH),
+    ("sum_of_products", lambda n: " + ".join(["x1 * x2"] * n), MAX_DEPTH - 1),
+    ("sum", lambda n: " + ".join(["x1"] * n), MAX_DEPTH),
+]
+
+
+@pytest.mark.parametrize("shape,n_cap", [s[1:] for s in DEEP_SHAPES],
+                         ids=[s[0] for s in DEEP_SHAPES])
+def test_nesting_capped_at_max_depth(shape, n_cap):
+    tree = parse(shape(n_cap))
+    for order in range(3):
+        values = kernel(partials([tree], order), "deep")(1.1, 0.9)
+        assert all(math.isfinite(v) for v in values)
+    with pytest.raises(ExpressionError, match="nests deeper"):
+        parse(shape(n_cap + 1))

@@ -192,8 +192,7 @@ def test_curvature_needs_embedding_or_orthogonality():
         ch2 = charts.SurfaceChart(
             kind="abstract", params={},
             domain=charts.Domain((-1.0, 1.0), (-1.0, 1.0)),
-            orthogonal=False,
-            metric=lambda x: np.array([[1.0, 0.1], [0.1, 1.0]]),
+            metric=("1", "0.1", "1"),
         )
         geometry_jet(ch2, (0.0, 0.0))
 
