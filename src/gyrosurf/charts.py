@@ -5,7 +5,7 @@ A chart is a rectangle of coordinates x = (x1, x2), a first fundamental form
     ds^2 = a11 dx1^2 + 2 a12 dx1 dx2 + a22 dx2^2,
 
 and, when the surface is realized in R^3, an embedding map r(x1, x2) with its
-first and second coordinate derivatives.  Every chart, built-in or
+coordinate derivatives through the third.  Every chart, built-in or
 `custom`, is written as expression text; its derivatives are kernels
 compiled from the symbolic partials of that text, exact up to rounding.
 
@@ -74,8 +74,9 @@ class SurfaceChart:
     Instances are built by the module-level factories (`sphere`, `torus`,
     `cylinder`, `plane`, `saddle`, `custom`).  Every chart is a spec: the
     metric and, optionally, the embedding as expression text (see
-    `expressions`), each compiled with its first and second partials to
-    one kernel per order, so derivatives are exact up to rounding.
+    `expressions`), compiled to one kernel per derivative order (the
+    metric through the second, the embedding through the third), so
+    derivatives are exact up to rounding.
 
     Parameters
     ----------
@@ -115,9 +116,9 @@ class SurfaceChart:
         self.params = dict(params)
         self.domain = domain
         self.orthogonal = a12 == ZERO
-        self._metric = _jet_maps([a11, a12, a12, a22], (2, 2), metric)
+        self._metric = _jet_maps([a11, a12, a12, a22], (2, 2), metric, 2)
         self._embedding = None if embedding is None else _jet_maps(
-            [parse(t) for t in embedding], (3,), embedding)
+            [parse(t) for t in embedding], (3,), embedding, 3)
         self.pole_guard = pole_guard
         self.closure_x1 = closure_x1 if closure_x1 is not None else domain.x1_range
 
@@ -132,7 +133,7 @@ class SurfaceChart:
     def metric_d2(self, x) -> np.ndarray:
         return self._metric[2](x)
 
-    # -- embedding jets: r (3,), rows r_k (2, 3), entries r_kl (2, 2, 3)
+    # -- embedding jets: r (3,), r_k (2, 3), r_kl (2, 2, 3), r_klm (2, 2, 2, 3)
 
     @property
     def has_embedding(self) -> bool:
@@ -146,6 +147,9 @@ class SurfaceChart:
 
     def embedding_d2(self, x) -> np.ndarray:
         return self._require_embedding()[2](x)
+
+    def embedding_d3(self, x) -> np.ndarray:
+        return self._require_embedding()[3](x)
 
     def _require_embedding(self) -> tuple:
         if self._embedding is None:
@@ -162,9 +166,9 @@ class SurfaceChart:
         return f"SurfaceChart({self.kind}, {inner})"
 
 
-def _jet_maps(trees: list, shape: tuple, texts) -> tuple:
-    """Maps x -> value, first and second partials of `trees`, as arrays of
-    shape `shape`, (2,) + shape and (2, 2) + shape."""
+def _jet_maps(trees: list, shape: tuple, texts, top_order: int) -> tuple:
+    """Maps x -> partials of `trees` of order 0 to `top_order`, the one of
+    order n as an array of shape (2,) * n + shape."""
     label = ", ".join(repr(t) for t in texts)
 
     def compiled(order: int):
@@ -174,7 +178,7 @@ def _jet_maps(trees: list, shape: tuple, texts) -> tuple:
         return lambda x: np.array(
             fn(*np.asarray(x, dtype=float).tolist())).reshape(full)
 
-    return tuple(compiled(order) for order in range(3))
+    return tuple(compiled(order) for order in range(top_order + 1))
 
 
 def _literal(value: float) -> str:

@@ -153,17 +153,17 @@ def _validate_surface(block: dict) -> dict:
 
 
 _PARAM_KEYS = {
-    "geodesic": (("m",), ()),
-    "magnetic": (("m", "L"), ()),
-    "reduced_disk": (("m", "I_d", "L"), ("omega_d_form",)),
-    "full_disk": (("m", "I_a", "I_d", "R_disk"), ("omega_d_form",)),
-    "top": (("M", "ell", "I1", "I3", "g"), ()),
+    "geodesic": ("m",),
+    "magnetic": ("m", "L"),
+    "reduced_disk": ("m", "I_d", "L"),
+    "full_disk": ("m", "I_a", "I_d", "R_disk"),
+    "top": ("M", "ell", "I1", "I3", "g"),
 }
 
 
 def _validate_params(block: dict, model: str) -> dict:
-    required, optional = _PARAM_KEYS[model]
-    _check_keys(block, "params", set(required) | set(optional), required)
+    required = _PARAM_KEYS[model]
+    _check_keys(block, "params", set(required), required)
     out = {}
     for key in required:
         if key in ("L", "g"):
@@ -172,12 +172,6 @@ def _validate_params(block: dict, model: str) -> dict:
             out[key] = _number(block, "params", key, nonnegative=True)
         else:
             out[key] = _number(block, "params", key, positive=True)
-    if "omega_d_form" in optional:
-        out["omega_d_form"] = (
-            _string(block, "params", "omega_d_form",
-                    ("third_form", "second_form"))
-            if "omega_d_form" in block else "third_form"
-        )
     return out
 
 
@@ -409,10 +403,10 @@ def build_model(cfg: ScenarioConfig):
         return models.MagneticModel(chart, prm["m"], prm["L"], potential)
     if kind == "reduced_disk":
         return models.ReducedDiskModel(chart, prm["m"], prm["I_d"], prm["L"],
-                                       potential, prm["omega_d_form"])
+                                       potential)
     disk = dynamics.DiskParams(m=prm["m"], I_a=prm["I_a"], I_d=prm["I_d"],
                                R_disk=prm["R_disk"])
-    return models.FullDiskModel(chart, disk, potential, prm["omega_d_form"])
+    return models.FullDiskModel(chart, disk, potential)
 
 
 def build_initial(cfg: ScenarioConfig, model) -> np.ndarray:

@@ -17,6 +17,10 @@ Four right-hand sides share this module:
 `models.SurfaceModel` drives the middle two as one surface law: the
 magnetic path at I_d = 0, the reduced-disk path otherwise.
 
+The disk's mass matrix m g + I_d B, with B the third fundamental form, and
+its coordinate derivatives are analytic: built from the geometry jet and
+the embedding's third partials.
+
 Positions are chart coordinates x = (x1, x2); velocities are coordinate
 velocities.  Right-hand sides return tuples of time derivatives in state
 order, e.g. (dx, dv) with dx = v.
@@ -36,10 +40,8 @@ from .errors import (
     NonOrthogonalChartError,
     SingularMassMatrixError,
 )
-from .geometry import J_FLAT, GeometryJet, cross3, geometry_jet
+from .geometry import J_FLAT, GeometryJet, geometry_jet
 from .potentials import Potential, none as no_potential
-
-OMEGA_D_FORMS = ("third_form", "second_form")
 
 
 # -- parameter and state containers ----------------------------------------
@@ -180,77 +182,50 @@ def quadratic_el_accel(mass, dmass, gyro, vgrad, qdot) -> np.ndarray:
 # -- disk mass matrices ------------------------------------------------------
 
 
-def _spin_inertia_matrix(chart: SurfaceChart, x, form: str) -> np.ndarray:
-    """Quadratic form of the diametral term: h g^-1 h for the wobble rate
-    written through the shape operator (third_form), or h itself
-    (second_form)."""
-    x = chart.wrap_point(x, enforce=False)
-    g = chart.metric(x)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    d1 = chart.embedding_d1(x)
-    d2 = chart.embedding_d2(x)
-    normal = cross3(d1[0], d1[1])
-    normal = normal / math.sqrt(float(normal @ normal))
-    h = d2 @ normal
-    if form == "second_form":
-        return h
-    g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    return h @ g_inv @ h
+def disk_mass_matrix(jet: GeometryJet, m: float, I_d: float) -> np.ndarray:
+    """Mass matrix m g + I_d B of the disk's translation and wobble.
 
-
-def disk_mass_matrix(chart: SurfaceChart, jet: GeometryJet, m: float,
-                     I_d: float, form: str) -> np.ndarray:
-    """Mass matrix m A + I_d B of the disk's translation and wobble.
-
-    A is the metric; the inertia part B needs the embedding's shape operator
-    and is skipped when I_d = 0.
+    B = h g^-1 h is the third fundamental form: the axis is the unit normal,
+    so the wobble rate is |d normal / dt|^2 = v . B v.  It needs the
+    embedding and is skipped when I_d = 0.
     """
-    if form not in OMEGA_D_FORMS:
-        raise ValueError(f"omega_d_form must be one of {OMEGA_D_FORMS}")
     mass = m * jet.g
     if I_d != 0.0:
-        if not chart.has_embedding:
+        if jet.h is None:
             raise MissingEmbeddingError(
                 "diametral inertia needs the shape operator; chart has no embedding"
             )
-        mass = mass + I_d * _spin_inertia_matrix(chart, jet.x, form)
+        mass = mass + I_d * (jet.h @ jet.g_inv @ jet.h)
     return mass
 
 
-def _disk_mass(chart: SurfaceChart, jet: GeometryJet, m: float, I_d: float,
-               form: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    """`disk_mass_matrix` and its two coordinate derivatives.
+def _disk_mass(chart: SurfaceChart, jet: GeometryJet, m: float, I_d: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """`disk_mass_matrix` and its coordinate derivatives dmass[k].
 
-    The metric part is analytic (from the jet); the inertia part B comes
-    through the embedding, so dB is a central difference.
+    Both parts are analytic.  With r_ijk the embedding's third partials and
+    the Weingarten equation d normal / dx_k = -S^l_k r_l,
+
+        dh_k = r_ijk . normal - h_kl Gamma^l_ij,
+        dS_k = g^-1 (dh_k - dg_k S),
+        dB_k = dh_k S + h dS_k.
     """
-    mass = disk_mass_matrix(chart, jet, m, I_d, form)
-    dmass = [m * jet.dg[0], m * jet.dg[1]]
+    mass = disk_mass_matrix(jet, m, I_d)
+    dmass = m * jet.dg
     if I_d != 0.0:
-        # dB by 2-point central difference: its O(h^2) ~ 1e-11 truncation is
-        # orders below every force-level tolerance, at half the evaluations
-        for k in range(2):
-            h_k = 1e-5 * (1.0 + abs(float(jet.x[k])))
-            e = np.zeros(2)
-            e[k] = h_k
-            dB = (
-                _spin_inertia_matrix(chart, jet.x + e, form)
-                - _spin_inertia_matrix(chart, jet.x - e, form)
-            ) / (2.0 * h_k)
-            dmass[k] = dmass[k] + I_d * dB
+        h, S = jet.h, jet.S
+        dh = chart.embedding_d3(jet.x) @ jet.normal \
+            - (h @ jet.christoffel.reshape(2, 4)).reshape(2, 2, 2)
+        dS = jet.g_inv @ (dh - jet.dg @ S)
+        dmass = dmass + I_d * (dh @ S + h @ dS)
     return mass, dmass
 
 
 # -- right-hand sides --------------------------------------------------------
 
 
-def full_disk_rhs(
-    chart: SurfaceChart,
-    disk: DiskParams,
-    potential: Potential | None,
-    state: FullState,
-    omega_d_form: str = "third_form",
-):
+def full_disk_rhs(chart: SurfaceChart, disk: DiskParams,
+                  potential: Potential | None, state: FullState):
     """Time derivatives (dx, dv, dtheta, dtheta_dot) of the full disk.
 
     The x-equations are the Euler-Lagrange equations of
@@ -269,22 +244,15 @@ def full_disk_rhs(
     v = state.v
     omega_a = state.theta_dot + float(jet.f @ v)
     charge = disk.I_a * omega_a
-    mass, dmass = _disk_mass(chart, jet, disk.m, disk.I_d, omega_d_form)
+    mass, dmass = _disk_mass(chart, jet, disk.m, disk.I_d)
     gyro = magnetic_force_covector(jet, charge, v)
     accel = quadratic_el_accel(mass, dmass, gyro, potential.gradient(jet.x), v)
     theta_ddot = -float(v @ (jet.df @ v) + jet.f @ accel)
     return v.copy(), accel, state.theta_dot, theta_ddot
 
 
-def reduced_disk_rhs(
-    chart: SurfaceChart,
-    m: float,
-    I_d: float,
-    L: float,
-    potential: Potential | None,
-    state: ReducedState,
-    omega_d_form: str = "third_form",
-):
+def reduced_disk_rhs(chart: SurfaceChart, m: float, I_d: float, L: float,
+                     potential: Potential | None, state: ReducedState):
     """Time derivatives (dx, dv) of the disk after eliminating the axial
     phase at fixed axial momentum L.
 
@@ -298,7 +266,7 @@ def reduced_disk_rhs(
     jet = geometry_jet(chart, state.x)
     if not chart.orthogonal:
         raise NonOrthogonalChartError("reduced disk model needs an orthogonal chart")
-    mass, dmass = _disk_mass(chart, jet, m, I_d, omega_d_form)
+    mass, dmass = _disk_mass(chart, jet, m, I_d)
     gyro = magnetic_force_covector(jet, L, state.v)
     accel = quadratic_el_accel(mass, dmass, gyro, potential.gradient(jet.x), state.v)
     return state.v.copy(), accel
@@ -404,28 +372,22 @@ def top_to_sphere(top: TopParams) -> TopSphereEquivalence:
 # -- energies and Lagrangians -------------------------------------------------
 
 
-def reduced_disk_energy(
-    chart: SurfaceChart, m: float, I_d: float,
-    potential: Potential | None, state: ReducedState,
-    omega_d_form: str = "third_form",
-) -> float:
+def reduced_disk_energy(chart: SurfaceChart, m: float, I_d: float,
+                        potential: Potential | None, state: ReducedState) -> float:
     """E = (m <A v, v> + I_d w_d^2) / 2 + V (axial constant dropped)."""
     potential = potential if potential is not None else no_potential()
     jet = geometry_jet(chart, state.x)
-    mass = disk_mass_matrix(chart, jet, m, I_d, omega_d_form)
+    mass = disk_mass_matrix(jet, m, I_d)
     return 0.5 * float(state.v @ mass @ state.v) + potential.value(jet.x)
 
 
-def full_disk_energy(
-    chart: SurfaceChart, disk: DiskParams,
-    potential: Potential | None, state: FullState,
-    omega_d_form: str = "third_form",
-) -> float:
+def full_disk_energy(chart: SurfaceChart, disk: DiskParams,
+                     potential: Potential | None, state: FullState) -> float:
     """E = I_a omega_a^2 / 2 + (m <A v, v> + I_d w_d^2) / 2 + V."""
     potential = potential if potential is not None else no_potential()
     jet = geometry_jet(chart, state.x)
     omega_a = axial_spin(jet, state)
-    mass = disk_mass_matrix(chart, jet, disk.m, disk.I_d, omega_d_form)
+    mass = disk_mass_matrix(jet, disk.m, disk.I_d)
     return (
         0.5 * disk.I_a * omega_a**2
         + 0.5 * float(state.v @ mass @ state.v)

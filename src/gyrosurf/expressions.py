@@ -24,6 +24,7 @@ any step.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -239,15 +240,28 @@ def _fold(tree: tuple) -> tuple:
     return _make(tree[0], *(_fold(a) for a in tree[1:]))
 
 
-def derivative(tree: tuple, var: str) -> tuple:
-    """Tree of d tree / d var, for var "x1" or "x2"."""
+def derivative(tree: tuple, var: str, memo: dict | None = None) -> tuple:
+    """Tree of d tree / d var, for var "x1" or "x2".
+
+    `memo` maps (id(subtree), var) to (subtree, derivative); holding the
+    subtree keeps its id from being reused, so a shared subtree is
+    differentiated once per memo.
+    """
+    memo = {} if memo is None else memo
+    key = (id(tree), var)
+    if key not in memo:
+        memo[key] = (tree, _derivative(tree, var, memo))
+    return memo[key][1]
+
+
+def _derivative(tree: tuple, var: str, memo: dict) -> tuple:
     op = tree[0]
     if op == "num":
         return ZERO
     if op == "var":
         return ONE if tree[1] == var else ZERO
     a = tree[1]
-    da = derivative(a, var)
+    da = derivative(a, var, memo)
     if op == "neg":
         return _make("neg", da)
     if op == "sin":
@@ -261,7 +275,7 @@ def derivative(tree: tuple, var: str) -> tuple:
     if op == "log":
         return _make("/", da, a)
     b = tree[2]
-    db = derivative(b, var)
+    db = derivative(b, var, memo)
     if op in ("+", "-"):
         return _make(op, da, db)
     if op == "*":
@@ -282,21 +296,21 @@ def derivative(tree: tuple, var: str) -> tuple:
 def partials(trees: list[tuple], order: int) -> list[tuple]:
     """All partials of one order, derivative index major.
 
-    Order 0 is the trees themselves, order 1 is [d/dx1 of each tree] then
-    [d/dx2 of each], and order 2 is the blocks (1, 1), (1, 2), (2, 1),
-    (2, 2), the two mixed blocks being the same trees.  Reshaped to
-    (2,) * order + (len(trees),) this is the layout d[k, l] = d^2 / dx_k dx_l.
+    Order 1 is [d/dx1 of each tree] then [d/dx2 of each]; order 2 is the
+    blocks (1, 1), (1, 2), (2, 1), (2, 2), and so on.  A mixed partial is
+    one tree for every ordering of its indices, taken along x1 first.
+    Reshaped to (2,) * order + (len(trees),) this is the layout
+    d[k, l, ...] = d^order / dx_k dx_l ....
     """
-    if order == 0:
-        return list(trees)
-    d1 = [derivative(t, "x1") for t in trees]
-    d2 = [derivative(t, "x2") for t in trees]
-    if order == 1:
-        return d1 + d2
-    d12 = [derivative(t, "x2") for t in d1]
-    return [derivative(t, "x1") for t in d1] + d12 + d12 + [
-        derivative(t, "x2") for t in d2
-    ]
+    memo: dict = {}
+    # blocks[idx]: the partials along the sorted multi-index idx
+    blocks = {(): list(trees)}
+    for n in range(1, order + 1):
+        for idx in itertools.combinations_with_replacement((0, 1), n):
+            var = ("x1", "x2")[idx[-1]]
+            blocks[idx] = [derivative(t, var, memo) for t in blocks[idx[:-1]]]
+    return [t for idx in itertools.product((0, 1), repeat=order)
+            for t in blocks[tuple(sorted(idx))]]
 
 
 # -- code generation ---------------------------------------------------------

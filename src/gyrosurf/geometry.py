@@ -78,9 +78,11 @@ class GeometryJet:
         Frame rotation covector (k1 sqrt(a11), k2 sqrt(a22)).
     df : ndarray or None, shape (2, 2)
         df[i, j] is the derivative of f_i along x_j.
+    normal : ndarray or None, shape (3,)
+        Unit normal unit(r_1 x r_2), present when the chart is embedded.
     h, S : ndarray or None, shape (2, 2)
-        Second fundamental form and shape operator, present when the chart
-        is embedded.  The normal is unit(r_1 x r_2).
+        Second fundamental form r_kl . normal and shape operator g^-1 h,
+        present when the chart is embedded.
     """
 
     x: np.ndarray
@@ -96,6 +98,7 @@ class GeometryJet:
     k2: float | None = None
     f: np.ndarray | None = None
     df: np.ndarray | None = None
+    normal: np.ndarray | None = None
     h: np.ndarray | None = None
     S: np.ndarray | None = None
 
@@ -146,7 +149,7 @@ def geometry_jet(chart: SurfaceChart, x, enforce_domain: bool = True) -> Geometr
     )
     christoffel = 0.5 * np.tensordot(g_inv, braces, axes=1)
 
-    h = S = None
+    normal = h = S = None
     if chart.has_embedding:
         d1 = chart.embedding_d1(x)
         d2 = chart.embedding_d2(x)
@@ -179,13 +182,13 @@ def geometry_jet(chart: SurfaceChart, x, enforce_domain: bool = True) -> Geometr
         return GeometryJet(
             x=x, g=g, g_inv=g_inv, det_g=det_g, sqrt_det_g=sqrt_det_g, dg=dg,
             christoffel=christoffel, K=float(K), orthogonal=True,
-            k1=float(k1), k2=float(k2), f=f, df=df, h=h, S=S,
+            k1=float(k1), k2=float(k2), f=f, df=df, normal=normal, h=h, S=S,
         )
 
     K = float(h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]) / det_g
     return GeometryJet(
         x=x, g=g, g_inv=g_inv, det_g=det_g, sqrt_det_g=sqrt_det_g, dg=dg,
-        christoffel=christoffel, K=K, orthogonal=False, h=h, S=S,
+        christoffel=christoffel, K=K, orthogonal=False, normal=normal, h=h, S=S,
     )
 
 

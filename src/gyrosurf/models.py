@@ -96,22 +96,17 @@ class SurfaceModel(_Model):
     name = "surface"
 
     def __init__(self, chart: SurfaceChart, m: float, L: float = 0.0,
-                 I_d: float = 0.0, potential: Potential | None = None,
-                 omega_d_form: str = "third_form"):
+                 I_d: float = 0.0, potential: Potential | None = None):
         if m <= 0.0:
             raise ValueError("m must be positive")
         if I_d < 0.0:
             raise ValueError("I_d must be nonnegative")
-        if omega_d_form not in dynamics.OMEGA_D_FORMS:
-            raise ValueError(
-                f"omega_d_form must be one of {dynamics.OMEGA_D_FORMS}")
         self.chart = chart
         self.monitor_chart = chart
         self.m = float(m)
         self.L = float(L)
         self.I_d = float(I_d)
         self.potential = potential if potential is not None else no_potential()
-        self.omega_d_form = omega_d_form
 
     def rhs(self, y) -> np.ndarray:
         state = self.unpack(y)
@@ -120,15 +115,12 @@ class SurfaceModel(_Model):
                 self.chart, self.m, self.L, self.potential, state)
         else:
             dx, dv = dynamics.reduced_disk_rhs(
-                self.chart, self.m, self.I_d, self.L, self.potential, state,
-                self.omega_d_form)
+                self.chart, self.m, self.I_d, self.L, self.potential, state)
         return np.concatenate([dx, dv])
 
     def energy(self, y) -> float:
         return dynamics.reduced_disk_energy(
-            self.chart, self.m, self.I_d, self.potential, self.unpack(y),
-            self.omega_d_form,
-        )
+            self.chart, self.m, self.I_d, self.potential, self.unpack(y))
 
     def omega_a(self, y) -> float:
         return math.nan
@@ -138,8 +130,7 @@ class SurfaceModel(_Model):
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
         jet = geometry_jet(self.chart, q)
-        mass = dynamics.disk_mass_matrix(self.chart, jet, self.m, self.I_d,
-                                         self.omega_d_form)
+        mass = dynamics.disk_mass_matrix(jet, self.m, self.I_d)
         value = 0.5 * float(qdot @ mass @ qdot) - self.potential.value(jet.x)
         if self.L != 0.0:
             if jet.f is None:
@@ -167,35 +158,28 @@ class MagneticModel(SurfaceModel):
 class ReducedDiskModel(SurfaceModel):
     name = "reduced_disk"
 
-    def __init__(self, chart, m, I_d, L, potential=None,
-                 omega_d_form: str = "third_form"):
-        super().__init__(chart, m, L, I_d, potential, omega_d_form)
+    def __init__(self, chart, m, I_d, L, potential=None):
+        super().__init__(chart, m, L, I_d, potential)
 
 
 class FullDiskModel(_SpinningModel):
     name = "full_disk"
 
     def __init__(self, chart: SurfaceChart, disk: DiskParams,
-                 potential: Potential | None = None,
-                 omega_d_form: str = "third_form"):
+                 potential: Potential | None = None):
         self.chart = chart
         self.monitor_chart = chart
         self.disk = disk
         self.potential = potential if potential is not None else no_potential()
-        self.omega_d_form = omega_d_form
 
     def rhs(self, y) -> np.ndarray:
         dx, dv, dth, dthd = dynamics.full_disk_rhs(
-            self.chart, self.disk, self.potential, self.unpack(y),
-            self.omega_d_form,
-        )
+            self.chart, self.disk, self.potential, self.unpack(y))
         return np.concatenate([dx, [dth], dv, [dthd]])
 
     def energy(self, y) -> float:
         return dynamics.full_disk_energy(
-            self.chart, self.disk, self.potential, self.unpack(y),
-            self.omega_d_form,
-        )
+            self.chart, self.disk, self.potential, self.unpack(y))
 
     def omega_a(self, y) -> float:
         s = self.unpack(y)
@@ -209,8 +193,7 @@ class FullDiskModel(_SpinningModel):
         jet = geometry_jet(self.chart, q[0:2])
         v = qdot[0:2]
         omega_a = qdot[2] + float(jet.f @ v)
-        mass = dynamics.disk_mass_matrix(self.chart, jet, self.disk.m,
-                                         self.disk.I_d, self.omega_d_form)
+        mass = dynamics.disk_mass_matrix(jet, self.disk.m, self.disk.I_d)
         return (
             0.5 * self.disk.I_a * omega_a**2
             + 0.5 * float(v @ mass @ v)

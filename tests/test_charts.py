@@ -41,7 +41,7 @@ def test_numpy_parameter_is_spliced_as_float():
     a, b = charts.saddle(np.float64(1.2)), charts.saddle(1.2)
     for x in ([0.3, -0.7], [1.5, 2.0]):
         for name in ("metric", "metric_d1", "metric_d2", "embedding",
-                     "embedding_d1", "embedding_d2"):
+                     "embedding_d1", "embedding_d2", "embedding_d3"):
             assert np.array_equal(getattr(a, name)(x), getattr(b, name)(x))
 
 
@@ -134,6 +134,13 @@ def test_custom_chart_polar_plane():
     assert abs(dg[0][1, 1] - 4.0) < 1e-12
 
 
+def symmetric_third(r111, r112, r122, r222):
+    """(2, 2, 2, 3) array r_klm from its four distinct entries."""
+    by_x2_count = (r111, r112, r122, r222)
+    return np.array([[[by_x2_count[i + j + k] for k in range(2)]
+                      for j in range(2)] for i in range(2)], dtype=float)
+
+
 def sphere_closed_form(R, x):
     """Jet of the sphere of radius R at x, written out by hand."""
     s, c = math.sin(x[0]), math.cos(x[0])
@@ -148,6 +155,8 @@ def sphere_closed_form(R, x):
         "r_k": R * np.array([[c * cp, c * sp, -s], [-s * sp, s * cp, 0.0]]),
         "r_kl": R * np.array([[[-s * cp, -s * sp, -c], [-c * sp, c * cp, 0.0]],
                               [[-c * sp, c * cp, 0.0], [-s * cp, -s * sp, 0.0]]]),
+        "r_klm": R * symmetric_third([-c * cp, -c * sp, s], [s * sp, -s * cp, 0.0],
+                                     [-c * cp, -c * sp, 0.0], [s * sp, -s * cp, 0.0]),
         # outward normal
         "h": np.diag([-R, -R * s * s]),
         "f": np.array([0.0, c]), "df": np.array([[0.0, 0.0], [-s, 0.0]]),
@@ -171,6 +180,10 @@ def torus_closed_form(R0, r, x):
                            [r * s * sp, -r * s * cp, 0.0]],
                           [[r * s * sp, -r * s * cp, 0.0],
                            [-w * cp, -w * sp, 0.0]]]),
+        "r_klm": symmetric_third([r * s * cp, r * s * sp, -r * c],
+                                 [r * c * sp, -r * c * cp, 0.0],
+                                 [r * s * cp, r * s * sp, 0.0],
+                                 [w * sp, -w * cp, 0.0]),
         # r_1 x r_2 points into the tube
         "h": np.diag([r, w * c]),
         "f": np.array([0.0, -s]), "df": np.array([[0.0, 0.0], [-c, 0.0]]),
@@ -189,6 +202,7 @@ def test_jet_matches_closed_form(chart, closed_form):
         jet, want = geometry_jet(chart, x), closed_form(x)
         got = {"g": jet.g, "dg": jet.dg, "d2g": chart.metric_d2(x),
                "r_k": chart.embedding_d1(x), "r_kl": chart.embedding_d2(x),
+               "r_klm": chart.embedding_d3(x),
                "h": jet.h, "f": jet.f, "df": jet.df, "K": jet.K}
         for name, value in want.items():
             assert np.max(np.abs(got[name] - value)) < 1e-12, name

@@ -100,6 +100,16 @@ def test_unknown_key_rejected_with_path(tmp_path, capsys):
     assert "surface.radius" in capsys.readouterr().err
 
 
+def test_omega_d_form_is_an_unknown_key(tmp_path, capsys):
+    # the disk's wobble term has one form, the third fundamental form
+    cfg = scenario(tmp_path, model="reduced_disk",
+                   params={"m": 1.0, "I_d": 0.01, "L": 2.0,
+                           "omega_d_form": "third_form"})
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err and "params.omega_d_form" in err
+
+
 def test_missing_output_block_is_config_error(tmp_path, capsys):
     cfg = scenario(tmp_path)
     del cfg["output"]

@@ -188,23 +188,105 @@ def test_wobble_energy_bounded_by_shape_operator():
         assert -1e-12 <= extra <= 0.5 * I_d * norm_S**2 * speed2 + 1e-12
 
 
-def test_omega_d_forms_related_by_curvature():
-    # on the unit sphere h = -g (inward normal), so h g^-1 h = g and the two
-    # wobble terms are exact opposites; on the torus they decouple entirely
-    state = dynamics.ReducedState(x=[1.0, 0.5], v=[0.3, -0.6])
+# Embedded orthogonal charts of every kind, each with a sampling box inside
+# its domain.  The custom chart is a helicoid: K < 0, and unlike the
+# surfaces of revolution its second fundamental form is off-diagonal.
+DISK_CHARTS = {
+    "sphere": (lambda: charts.sphere(1.3), ((0.3, math.pi - 0.3), (0.0, 6.0))),
+    "torus": (lambda: charts.torus(2.0, 0.6), ((0.0, 6.0), (0.0, 6.0))),
+    "cylinder": (lambda: charts.cylinder(0.7), ((-3.0, 3.0), (0.0, 6.0))),
+    "custom": (lambda: charts.custom(
+        "1", "x1^2 + 0.25",
+        embedding=("x1 * cos(x2)", "x1 * sin(x2)", "0.5 * x2"),
+        domain=charts.Domain((-2.0, 2.0), (-3.0, 3.0)),
+    ), ((-1.8, 1.8), (-2.8, 2.8))),
+}
 
-    def wobble(chart, form):
-        full = dynamics.reduced_disk_energy(chart, 1.0, 0.2, None, state, form)
-        bare = dynamics.reduced_disk_energy(chart, 1.0, 0.0, None, state)
-        return full - bare
 
-    sph = charts.sphere(1.0)
-    w3 = wobble(sph, "third_form")
-    w2 = wobble(sph, "second_form")
-    assert w3 > 0
-    assert abs(w3 + w2) < 1e-12
-    tor = charts.torus(2.0, 0.5)
-    assert abs(wobble(tor, "third_form") - abs(wobble(tor, "second_form"))) > 1e-6
+def sample_point(rng, box):
+    return np.array([rng.uniform(*box[0]), rng.uniform(*box[1])])
+
+
+def rigid_frame(chart, q):
+    """Body frame of a disk tangent at r(x1, x2), turned by theta = q[2]
+    about the normal: columns (c e1 + s e2, -s e1 + c e2, n)."""
+    r_k = chart.embedding_d1(q[:2])
+    e1 = r_k[0] / np.linalg.norm(r_k[0])
+    n = np.cross(r_k[0], r_k[1])
+    n /= np.linalg.norm(n)
+    e2 = np.cross(n, e1)
+    c, s = math.cos(q[2]), math.sin(q[2])
+    return np.column_stack([c * e1 + s * e2, -s * e1 + c * e2, n])
+
+
+def rigid_kinetic_energy(chart, disk, q, qdot, h=1e-3):
+    """m |rdot|^2 / 2 + omega . I omega / 2 of the rigid disk, with omega
+    read off Rdot R^T and Rdot a 4th-order difference along q + t qdot."""
+    def frame(t):
+        return rigid_frame(chart, q + t * qdot)
+
+    R = frame(0.0)
+    Rdot = (frame(-2 * h) - 8 * frame(-h) + 8 * frame(h) - frame(2 * h)) / (12 * h)
+    W = Rdot @ R.T
+    body = R.T @ np.array([W[2, 1], W[0, 2], W[1, 0]])
+    rdot = chart.embedding_d1(q[:2]).T @ qdot[:2]
+    inertia = np.array([disk.I_d, disk.I_d, disk.I_a])
+    return 0.5 * disk.m * float(rdot @ rdot) + 0.5 * float(body @ (inertia * body))
+
+
+@pytest.mark.parametrize("kind", DISK_CHARTS)
+def test_full_disk_lagrangian_is_rigid_body_energy(kind):
+    # T_rigid reads only r_k: no jet, no shape operator
+    make, box = DISK_CHARTS[kind]
+    chart = make()
+    disk = dynamics.DiskParams(m=1.1, I_a=0.3, I_d=0.17, R_disk=0.5)
+    model = models.FullDiskModel(chart, disk)
+    rng = np.random.default_rng(31)
+    worst = {"third": 0.0, "second": 0.0, "flipped": 0.0}
+    for _ in range(200):
+        q = np.append(sample_point(rng, box), rng.uniform(0.0, 2 * math.pi))
+        qdot = rng.uniform(-1.5, 1.5, 3)
+        rigid = rigid_kinetic_energy(chart, disk, q, qdot)
+        lag = model.lagrangian(q, qdot)
+        # the same Lagrangian with B = h, and with the wobble sign flipped
+        jet, v = geometry_jet(chart, q[:2]), qdot[:2]
+        wobble = 0.5 * disk.I_d * float(v @ (jet.h @ jet.g_inv @ jet.h) @ v)
+        second = lag - wobble + 0.5 * disk.I_d * float(v @ jet.h @ v)
+        for name, value in (("third", lag), ("second", second),
+                            ("flipped", lag - 2 * wobble)):
+            worst[name] = max(worst[name], abs(value - rigid))
+    assert worst["third"] < 1e-9
+    assert worst["second"] > 1e-3
+    assert worst["flipped"] > 1e-3
+
+
+def test_sphere_wobble_form_is_metric_over_radius_squared():
+    # h = -g / R on a sphere, so B = h g^-1 h = g / R^2
+    R = 1.3
+    jet = geometry_jet(charts.sphere(R), [1.0, 0.5])
+    B = dynamics.disk_mass_matrix(jet, 0.0, 1.0)
+    assert np.max(np.abs(B - jet.g / R**2)) < 1e-14
+
+
+@pytest.mark.parametrize("kind", DISK_CHARTS)
+def test_disk_mass_derivative_matches_difference(kind):
+    make, box = DISK_CHARTS[kind]
+    chart = make()
+    m, I_d, h = 1.1, 0.17, 1e-3
+
+    def mass(x):
+        return dynamics.disk_mass_matrix(geometry_jet(chart, x), m, I_d)
+
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        x = sample_point(rng, box)
+        _, dmass = dynamics._disk_mass(chart, geometry_jet(chart, x), m, I_d)
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h
+            fd = (mass(x - 2 * e) - 8 * mass(x - e) + 8 * mass(x + e)
+                  - mass(x + 2 * e)) / (12 * h)
+            assert np.max(np.abs(dmass[k] - fd)) < 1e-9
 
 
 def test_top_rhs_conserves_momenta():

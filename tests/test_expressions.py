@@ -148,7 +148,7 @@ DEEP_SHAPES = [
                          ids=[s[0] for s in DEEP_SHAPES])
 def test_nesting_capped_at_max_depth(shape, n_cap):
     tree = parse(shape(n_cap))
-    for order in range(3):
+    for order in range(4):
         values = kernel(partials([tree], order), "deep")(1.1, 0.9)
         assert all(math.isfinite(v) for v in values)
     with pytest.raises(ExpressionError, match="nests deeper"):
