@@ -34,12 +34,22 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Domain:
-    """Coordinate rectangle with per-coordinate periodicity flags."""
+    """Coordinate rectangle with per-coordinate periodicity flags.
+
+    Raises ValueError unless each range has finite ends with lo < hi.
+    """
 
     x1_range: tuple[float, float]
     x2_range: tuple[float, float]
     periodic_x1: bool = False
     periodic_x2: bool = False
+
+    def __post_init__(self):
+        for name in ("x1_range", "x2_range"):
+            lo, hi = getattr(self, name)
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"{name} needs finite ends with lo < hi, "
+                                 f"got {(lo, hi)!r}")
 
     def wrap(self, x, enforce: bool = True) -> np.ndarray:
         """Wrap periodic coordinates into range; check the others.

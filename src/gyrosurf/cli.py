@@ -7,7 +7,6 @@ truncation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import config, suites, verify
@@ -119,21 +118,9 @@ def _cmd_compare(args) -> int:
 
 
 def _load_chart_config(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON: {exc}")
+    data = config.read_json(path)
     if isinstance(data, dict) and set(data) == {"surface"}:
-        surface = config._validate_surface(config._block(data, "surface"))
-        shim = {
-            "surface": surface, "model": "geodesic", "params": {"m": 1.0},
-            "initial": {"x": [0.0, 0.0], "v": [1.0, 0.0]},
-            "integrator": {"dt": 1e-3, "n_steps": 1},
-        }
-        return config.build_chart(config.ScenarioConfig(shim))
+        return config.build_surface(config.parse_surface(data["surface"]))
     cfg = config.ScenarioConfig(data)
     if cfg.model_kind == "top":
         raise ConfigError("top scenarios have no coordinate chart",

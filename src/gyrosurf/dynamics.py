@@ -54,18 +54,20 @@ class DiskParams:
     m : total mass
     I_a : moment of inertia about the symmetry axis
     I_d : moment of inertia about a diameter
-    R_disk : disk radius; no computation reads it
+    R_disk : disk radius, or None; no computation reads it
     """
 
     m: float
     I_a: float
     I_d: float
-    R_disk: float
+    R_disk: float | None = None
 
     def __post_init__(self):
-        for name in ("m", "I_a", "I_d", "R_disk"):
+        for name in ("m", "I_a", "I_d"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"DiskParams.{name} must be positive")
+        if self.R_disk is not None and not self.R_disk > 0.0:
+            raise ValueError("DiskParams.R_disk must be positive")
 
     @classmethod
     def uniform(cls, m: float, R_disk: float) -> "DiskParams":

@@ -236,3 +236,13 @@ def test_custom_chart_rejects_degenerate_metric():
             "0", "1",
             domain=charts.Domain((0.1, 1.0), (0.0, 1.0)),
         )
+
+
+@pytest.mark.parametrize("x1_range", [(0.0, 0.0), (1.0, 0.0), (0.0, math.inf),
+                                      (-math.inf, 0.0), (math.nan, 1.0)])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_domain_rejects_empty_or_infinite_range(x1_range, periodic):
+    with pytest.raises(ValueError, match="x1_range"):
+        charts.Domain(x1_range, (0.0, 1.0), periodic_x1=periodic)
+    with pytest.raises(ValueError, match="x2_range"):
+        charts.Domain((0.0, 1.0), x1_range, periodic_x2=periodic)

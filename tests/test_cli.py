@@ -347,3 +347,59 @@ def test_huge_sphere_is_degenerate(tmp_path, capsys):
     cfg = scenario(tmp_path, surface={"kind": "sphere", "R": 1e200})
     assert main(["run", write_config(tmp_path, cfg)]) == 1
     assert "metric degenerate" in capsys.readouterr().err
+
+
+CUSTOM_SURFACE = {"kind": "custom", "a11": "1", "a22": "1",
+                  "x1_range": [0.0, 1.0], "x2_range": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("params", "L", math.nan),
+    ("params", "m", math.inf),
+    ("integrator", "dt", math.inf),
+    ("initial", "v", [math.inf, 0.0]),
+    ("surface", "R", math.inf),
+    ("surface", "x1_range", [0.0, math.inf]),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, block, key, value):
+    # JSON NaN and Infinity parse to floats; the schema rejects them
+    cfg = scenario(tmp_path)
+    if key == "x1_range":
+        cfg["surface"] = dict(CUSTOM_SURFACE)
+        cfg["initial"] = {"x": [0.5, 0.5], "v": [0.1, 0.1]}
+    cfg[block][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg, allow_nan=True))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {block}.{key}: expected a finite number")
+
+
+@pytest.mark.parametrize("x1_range,periodic", [
+    ([0.0, 0.0], True), ([1.0, 0.0], True), ([1.0, 0.0], False),
+])
+def test_empty_custom_range_is_config_error(tmp_path, capsys, x1_range,
+                                            periodic):
+    cfg = scenario(tmp_path, surface=dict(CUSTOM_SURFACE, x1_range=x1_range,
+                                          periodic_x1=periodic))
+    cfg["initial"] = {"x": [0.5, 0.5], "v": [0.1, 0.1]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: surface: x1_range")
+
+
+def test_unwritable_output_path_is_config_error(tmp_path, capsys):
+    cfg = scenario(tmp_path)
+    cfg["output"]["path"] = str(tmp_path / "missing" / "out.csv")
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.path:")
+    assert "Traceback" not in err
+
+
+def test_full_disk_runs_without_disk_radius(tmp_path, capsys):
+    cfg = scenario(tmp_path, model="full_disk",
+                   params={"m": 1.0, "I_a": 0.02, "I_d": 0.01})
+    cfg["initial"] = {"x": [1.0, 0.0], "v": [0.0, 1.0], "omega_a": 50.0}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert "R_disk" not in parse_scenario(cfg).to_dict()["params"]
