@@ -15,14 +15,16 @@ from .geometry import gauss_bonnet_patch_K, geometry_jet
 from .integrators import integrate
 
 
-def _parse_pair(text: str, option: str) -> tuple[float, float]:
+def _parse_pair(text: str, option: str, kind) -> list[float]:
+    """Two comma-separated numbers, checked as the schema type `kind`."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"{option} expects two comma-separated numbers")
     try:
-        return float(parts[0]), float(parts[1])
+        pair = [float(parts[0]), float(parts[1])]
     except ValueError:
         raise ConfigError(f"{option} expects numbers, got {text!r}")
+    return config._value(kind, pair, option)
 
 
 def _cmd_run(args) -> int:
@@ -81,7 +83,8 @@ def _cmd_compare(args) -> int:
                           key="integrator")
 
     compare_block = cfg_a.data.get("compare") or cfg_b.data.get("compare")
-    tolerance = args.tol
+    tolerance = None if args.tol is None \
+        else config._value("positive", args.tol, "--tol")
     metric = args.metric
     if compare_block is not None:
         if tolerance is None:
@@ -130,14 +133,15 @@ def _load_chart_config(path: str):
 
 def _cmd_curvature(args) -> int:
     chart = _load_chart_config(args.config)
-    x = _parse_pair(args.at, "--at")
+    x = _parse_pair(args.at, "--at", "pair")
+    if args.patch is not None:
+        eps, delta = _parse_pair(args.patch, "--patch", ["positive"])
     try:
         jet = geometry_jet(chart, x)
     except DomainError as exc:
         raise ConfigError(f"point outside chart domain: {exc}")
     print("K,%.17g" % jet.K)
     if args.patch is not None:
-        eps, delta = _parse_pair(args.patch, "--patch")
         estimate = gauss_bonnet_patch_K(chart, x, eps, delta)
         print("patch_K,%.17g" % estimate)
         print("patch_error,%.17g" % (estimate - jet.K))

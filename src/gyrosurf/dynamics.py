@@ -1,29 +1,25 @@
-"""Equations of motion for a spinning disk rolling-free on a curved surface.
+"""Lagrangians of a spinning disk on a curved surface, and of the heavy top.
 
-Four right-hand sides share this module:
+Every model here has one Lagrangian L = qdot . M(q) qdot / 2 + A(q) . qdot
+- V(q), and this module gives it as a provider of its terms:
 
-* `full_disk_rhs`: disk center constrained to the surface, axis along the
-  normal, all three rotational degrees of freedom kept.  The axial spin
-  couples to the frame rotation rate f(x) . xdot and is conserved.
-* `reduced_disk_rhs`: the axial degree eliminated at fixed axial momentum L;
-  what remains is a charged particle on the surface, charge L, magnetic
-  field K, plus the disk's diametral inertia correction.
-* `magnetic_geodesic_rhs`: the clean magnetic system m Dv/dt = L K Jv - grad V
-  with no inertia correction; coincides with the reduced disk at I_d = 0,
-  and L = 0 gives the uncharged geodesic control case.
-* `top_rhs`: the Lagrange top in Euler angles; algebraically identical to a
-  magnetic geodesic on a sphere whose radius is set by `top_to_sphere`.
+* `surface_terms`: a charge L on the surface, M = m g + I_d B with B the
+  third fundamental form, A = L f with f the frame rotation covector.  It
+  is the disk with its axial phase eliminated at axial momentum L; its
+  field is the curl of f, the Gaussian curvature K.
+* `full_disk_terms`: the disk in (x1, x2, theta) with the axial spin kept.
+  Its mass matrix carries I_a (theta_dot + f . v)^2 and no K, so that the
+  reduction to `surface_terms` is a theorem the integrator can test.
+* `top_terms`: the Lagrange top in Euler angles, a charged particle on the
+  sphere that `top_to_sphere` sizes.
 
-`models.SurfaceModel` drives the middle two as one surface law: the
-magnetic path at I_d = 0, the reduced-disk path otherwise.
-
-The disk's mass matrix m g + I_d B, with B the third fundamental form, and
-its coordinate derivatives are analytic: built from the geometry jet and
-the embedding's third partials.
+`quadratic_el_accel` turns (M, dM, G, dV) into accelerations;
+`models._Model` builds every right-hand side, energy and momentum from
+the providers.  `magnetic_geodesic_rhs` is the Christoffel form of the
+surface law at I_d = 0, which also runs on non-orthogonal charts.
 
 Positions are chart coordinates x = (x1, x2); velocities are coordinate
-velocities.  Right-hand sides return tuples of time derivatives in state
-order, e.g. (dx, dv) with dx = v.
+velocities.
 """
 
 from __future__ import annotations
@@ -169,10 +165,13 @@ def quadratic_el_accel(mass, dmass, gyro, vgrad, qdot) -> np.ndarray:
     depend on) and G is a gyroscopic covector already evaluated at (q, qdot).
     """
     mass = np.asarray(mass, dtype=float)
+    dmass = np.asarray(dmass, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    n = qdot.size
-    mdot = sum(dmass[k] * qdot[k] for k in range(n))
-    quad = 0.5 * np.array([qdot @ dmass[k] @ qdot for k in range(n)])
+    # sum_k dmass[k] qdot_k and (qdot . dmass[k]) . qdot, batched over k;
+    # each sum runs in the order an explicit loop over k would use, so the
+    # floats do not depend on the batching
+    mdot = np.add.reduce(dmass * qdot[:, None, None])
+    quad = 0.5 * ((qdot @ dmass)[:, None] @ qdot)[:, 0]
     rhs = np.asarray(gyro, dtype=float) - np.asarray(vgrad, dtype=float) \
         - mdot @ qdot + quad
     try:
@@ -223,55 +222,101 @@ def _disk_mass(chart: SurfaceChart, jet: GeometryJet, m: float, I_d: float
     return mass, dmass
 
 
-# -- right-hand sides --------------------------------------------------------
+# -- the three Lagrangians ----------------------------------------------------
+#
+# Each provider returns (M, A, V) at q, or (M, dM, G, dV/dq) at (q, qdot)
+# for `quadratic_el_accel`; G is the gyroscopic covector at qdot.
 
 
-def full_disk_rhs(chart: SurfaceChart, disk: DiskParams,
-                  potential: Potential | None, state: FullState):
-    """Time derivatives (dx, dv, dtheta, dtheta_dot) of the full disk.
+def surface_terms(chart: SurfaceChart, m: float, I_d: float, L: float,
+                  potential: Potential, q, qdot=None):
+    """Charge L on the surface: M = m g + I_d B, A = L f, G = L K sqrt(det g) Jv.
 
-    The x-equations are the Euler-Lagrange equations of
-
-        E = I_a (theta_dot + f.v)^2 / 2 + (m <A v, v> + I_d w_d^2) / 2 - V(x)
-
-    with the axial term folded into a gyroscopic force: since I_a omega_a is
-    conserved, the axial coupling acts on x exactly like a magnetic force of
-    instantaneous charge L = I_a omega_a.  theta_ddot then follows from
-    d/dt (theta_dot + f . v) = 0.  No small-I_d approximation is made.
+    A is None for a nonzero charge on a chart without the frame covector f
+    (a non-orthogonal chart).  The force path needs an orthogonal chart.
     """
-    potential = potential if potential is not None else no_potential()
-    jet = geometry_jet(chart, state.x)
+    jet = geometry_jet(chart, q)
+    if qdot is None:
+        A = np.zeros(2) if L == 0.0 else (None if jet.f is None else L * jet.f)
+        return disk_mass_matrix(jet, m, I_d), A, potential.value(jet.x)
+    if not chart.orthogonal:
+        raise NonOrthogonalChartError(
+            "disk mass-matrix law needs an orthogonal chart")
+    mass, dmass = _disk_mass(chart, jet, m, I_d)
+    return mass, dmass, magnetic_force_covector(jet, L, qdot), \
+        potential.gradient(jet.x)
+
+
+def full_disk_terms(chart: SurfaceChart, disk: DiskParams,
+                    potential: Potential, q, qdot=None):
+    """The disk in q = (x1, x2, theta) with its axial spin kept, A = 0.
+
+    The axial rate is omega_a = theta_dot + f . v, so with c = I_a f
+
+        M = [[m g + I_d B + c f^T, c], [c^T, I_a]]
+
+    and no charge or K appears: the reduced model's magnetic force must
+    come out of the solve.
+    """
+    jet = geometry_jet(chart, q[:2])
     if jet.f is None:
         raise NonOrthogonalChartError("full disk model needs an orthogonal chart")
-    v = state.v
-    omega_a = state.theta_dot + float(jet.f @ v)
-    charge = disk.I_a * omega_a
-    mass, dmass = _disk_mass(chart, jet, disk.m, disk.I_d)
-    gyro = magnetic_force_covector(jet, charge, v)
-    accel = quadratic_el_accel(mass, dmass, gyro, potential.gradient(jet.x), v)
-    theta_ddot = -float(v @ (jet.df @ v) + jet.f @ accel)
-    return v.copy(), accel, state.theta_dot, theta_ddot
+    f, c = jet.f, disk.I_a * jet.f
+    mass = np.empty((3, 3))
+    mass[:2, 2] = mass[2, :2] = c
+    mass[2, 2] = disk.I_a
+    if qdot is None:
+        mass[:2, :2] = disk_mass_matrix(jet, disk.m, disk.I_d) + c[:, None] * f
+        return mass, np.zeros(3), potential.value(jet.x)
+    surface_mass, surface_dmass = _disk_mass(chart, jet, disk.m, disk.I_d)
+    mass[:2, :2] = surface_mass + c[:, None] * f
+    dc = disk.I_a * jet.df.T  # dc[k] = dc / dx_k
+    dcf = dc[:, :, None] * f
+    dmass = np.zeros((3, 3, 3))
+    dmass[:2, :2, :2] = surface_dmass + dcf + dcf.transpose(0, 2, 1)
+    dmass[:2, :2, 2] = dmass[:2, 2, :2] = dc
+    vgrad = np.zeros(3)
+    vgrad[:2] = potential.gradient(jet.x)
+    return mass, dmass, np.zeros(3), vgrad
+
+
+TOP_TILT_GUARD = 1e-3
+
+
+def top_terms(top: TopParams, q, qdot=None):
+    """The Lagrange top: q = (tilt of the axis from the upward vertical,
+    precession azimuth, spin angle), A = 0 and
+
+        L = I1 (x1dot^2 + x2dot^2 sin^2 x1) / 2
+          + I3 (theta_dot + x2dot cos x1)^2 / 2 - M g ell cos x1.
+
+    The force path refuses a tilt within TOP_TILT_GUARD of a pole.
+    """
+    x1 = float(q[0])
+    s, c = math.sin(x1), math.cos(x1)
+    mass = np.array([[top.I1, 0.0, 0.0],
+                     [0.0, top.I1 * s * s + top.I3 * c * c, top.I3 * c],
+                     [0.0, top.I3 * c, top.I3]])
+    if qdot is None:
+        return mass, np.zeros(3), top.M * top.g * top.ell * c
+    if not (TOP_TILT_GUARD < x1 < math.pi - TOP_TILT_GUARD):
+        raise DomainError(f"top tilt x1 = {x1!r} within {TOP_TILT_GUARD} of a pole")
+    dmass = np.zeros((3, 3, 3))
+    dmass[0, 1, 1] = (top.I1 - top.I3) * math.sin(2.0 * x1)
+    dmass[0, 1, 2] = dmass[0, 2, 1] = -top.I3 * s
+    vgrad = np.array([-top.M * top.g * top.ell * s, 0.0, 0.0])
+    return mass, dmass, np.zeros(3), vgrad
 
 
 def reduced_disk_rhs(chart: SurfaceChart, m: float, I_d: float, L: float,
                      potential: Potential | None, state: ReducedState):
-    """Time derivatives (dx, dv) of the disk after eliminating the axial
-    phase at fixed axial momentum L.
-
-    Solves  d/dt T_v - T_x + V_x = sqrt(a11 a22) L K [[0,-1],[1,0]] v  for
-    the coordinate accelerations, with T = (m <A v, v> + I_d w_d^2) / 2.
-    I_d = 0 recovers `magnetic_geodesic_rhs` up to rounding.
-    """
+    """Time derivatives (dx, dv) of `surface_terms`' Euler-Lagrange law;
+    I_d = 0 recovers `magnetic_geodesic_rhs` up to rounding."""
     if I_d < 0.0:
         raise ValueError("I_d must be nonnegative")
     potential = potential if potential is not None else no_potential()
-    jet = geometry_jet(chart, state.x)
-    if not chart.orthogonal:
-        raise NonOrthogonalChartError("reduced disk model needs an orthogonal chart")
-    mass, dmass = _disk_mass(chart, jet, m, I_d)
-    gyro = magnetic_force_covector(jet, L, state.v)
-    accel = quadratic_el_accel(mass, dmass, gyro, potential.gradient(jet.x), state.v)
-    return state.v.copy(), accel
+    terms = surface_terms(chart, m, I_d, L, potential, state.x, state.v)
+    return state.v.copy(), quadratic_el_accel(*terms, state.v)
 
 
 def magnetic_geodesic_rhs(
@@ -295,53 +340,6 @@ def magnetic_geodesic_rhs(
     accel = accel + (L * jet.K / m) * (jet.sqrt_det_g * (jet.g_inv @ (J_FLAT @ v)))
     accel = accel - (jet.g_inv @ potential.gradient(jet.x)) / m
     return v.copy(), accel
-
-
-# -- the Lagrange top --------------------------------------------------------
-
-TOP_TILT_GUARD = 1e-3
-
-
-def _top_mass(top: TopParams, x1: float) -> np.ndarray:
-    s, c = math.sin(x1), math.cos(x1)
-    return np.array(
-        [
-            [top.I1, 0.0, 0.0],
-            [0.0, top.I1 * s * s + top.I3 * c * c, top.I3 * c],
-            [0.0, top.I3 * c, top.I3],
-        ]
-    )
-
-
-def top_rhs(top: TopParams, state: FullState):
-    """Time derivatives (dx, dv, dtheta, dtheta_dot) of the Lagrange top.
-
-    Coordinates: x1 tilt of the symmetry axis from the upward vertical,
-    x2 precession azimuth, theta spin about the symmetry axis.  Euler-
-    Lagrange equations of
-
-        L = I1 (x1dot^2 + x2dot^2 sin^2 x1) / 2
-          + I3 (theta_dot + x2dot cos x1)^2 / 2 - M g ell cos x1,
-
-    which conserve E, p_theta = I3 (theta_dot + x2dot cos x1) and p_x2.
-    """
-    x1 = float(state.x[0])
-    if not (TOP_TILT_GUARD < x1 < math.pi - TOP_TILT_GUARD):
-        raise DomainError(f"top tilt x1 = {x1!r} within {TOP_TILT_GUARD} of a pole")
-    s, c = math.sin(x1), math.cos(x1)
-    mass = _top_mass(top, x1)
-    dmass0 = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [0.0, (top.I1 - top.I3) * math.sin(2.0 * x1), -top.I3 * s],
-            [0.0, -top.I3 * s, 0.0],
-        ]
-    )
-    dmass = [dmass0, np.zeros((3, 3)), np.zeros((3, 3))]
-    qdot = np.array([state.v[0], state.v[1], state.theta_dot])
-    vgrad = np.array([-top.M * top.g * top.ell * s, 0.0, 0.0])
-    qddot = quadratic_el_accel(mass, dmass, np.zeros(3), vgrad, qdot)
-    return state.v.copy(), qddot[:2], state.theta_dot, float(qddot[2])
 
 
 @dataclass(frozen=True)
@@ -369,46 +367,3 @@ def top_to_sphere(top: TopParams) -> TopSphereEquivalence:
     R = top.I1 / (top.M * top.ell)
     m = (top.M * top.ell) ** 2 / top.I1
     return TopSphereEquivalence(R=R, m=m, I3=top.I3)
-
-
-# -- energies and Lagrangians -------------------------------------------------
-
-
-def reduced_disk_energy(chart: SurfaceChart, m: float, I_d: float,
-                        potential: Potential | None, state: ReducedState) -> float:
-    """E = (m <A v, v> + I_d w_d^2) / 2 + V (axial constant dropped)."""
-    potential = potential if potential is not None else no_potential()
-    jet = geometry_jet(chart, state.x)
-    mass = disk_mass_matrix(jet, m, I_d)
-    return 0.5 * float(state.v @ mass @ state.v) + potential.value(jet.x)
-
-
-def full_disk_energy(chart: SurfaceChart, disk: DiskParams,
-                     potential: Potential | None, state: FullState) -> float:
-    """E = I_a omega_a^2 / 2 + (m <A v, v> + I_d w_d^2) / 2 + V."""
-    potential = potential if potential is not None else no_potential()
-    jet = geometry_jet(chart, state.x)
-    omega_a = axial_spin(jet, state)
-    mass = disk_mass_matrix(jet, disk.m, disk.I_d)
-    return (
-        0.5 * disk.I_a * omega_a**2
-        + 0.5 * float(state.v @ mass @ state.v)
-        + potential.value(jet.x)
-    )
-
-
-def top_energy(top: TopParams, state: FullState) -> float:
-    qdot = np.array([state.v[0], state.v[1], state.theta_dot])
-    mass = _top_mass(top, float(state.x[0]))
-    return 0.5 * float(qdot @ mass @ qdot) \
-        + top.M * top.g * top.ell * math.cos(float(state.x[0]))
-
-
-def top_momenta(top: TopParams, state: FullState) -> tuple[float, float]:
-    """(p_theta, p_x2), both conserved along top motion."""
-    x1 = float(state.x[0])
-    s, c = math.sin(x1), math.cos(x1)
-    omega3 = state.theta_dot + state.v[1] * c
-    p_theta = top.I3 * omega3
-    p_x2 = (top.I1 * s * s + top.I3 * c * c) * state.v[1] + top.I3 * c * state.theta_dot
-    return float(p_theta), float(p_x2)

@@ -1,10 +1,12 @@
 """Model objects: chart, parameters and potential behind one flat interface.
 
-The pure right-hand sides in `dynamics` speak state objects; integrators,
-oracles and the CLI want flat float vectors.  Each model class fixes a state
-layout, forwards to its right-hand side, and exposes the scalars every
-monitor needs (energy, metric speed, axial spin) plus the Lagrangian the
-discrete residual oracle differentiates.
+Integrators, oracles and the CLI speak flat float vectors y = (q, qdot).
+Every model is one Lagrangian L = qdot . M qdot / 2 + A . qdot - V, and
+supplies it through `terms`: `terms(q)` gives (M, A, V) and
+`terms(q, qdot)` gives (M, dM, G, dV) for the Euler-Lagrange solve (see
+`dynamics`).  `_Model` writes `rhs`, `energy`, `lagrangian` and `momenta`
+(p = M qdot + A) once from them, plus the monitors' metric speed and axial
+spin.
 
 `SurfaceModel` is the single surface law m Dv/dt = L K Jv - grad V, plus
 the disk's diametral inertia I_d when that is nonzero.  `GeodesicModel`
@@ -41,7 +43,8 @@ from .potentials import Potential, none as no_potential
 
 
 class _Model:
-    """State-layout plumbing; the surface layout (x, v) is the default."""
+    """The Lagrangian core and state-layout plumbing; the surface layout
+    (x, v) is the default."""
 
     columns = ("x1", "x2", "v1", "v2")
     n_pos = 2
@@ -67,9 +70,50 @@ class _Model:
         g = geometry_jet(self.monitor_chart, self.position(y)).g
         return math.sqrt(float(v @ g @ v))
 
+    def _split(self, y) -> tuple[np.ndarray, np.ndarray]:
+        y = np.asarray(y, dtype=float)
+        return y[:self.n_pos], y[self.n_pos:]
+
+    def rhs(self, y) -> np.ndarray:
+        q, qdot = self._split(y)
+        accel = dynamics.quadratic_el_accel(*self.terms(q, qdot), qdot)
+        return np.concatenate([qdot, accel])
+
+    def energy(self, y) -> float:
+        q, qdot = self._split(y)
+        mass, _, V = self.terms(q)
+        return 0.5 * float(qdot @ mass @ qdot) + V
+
+    def _terms_with_A(self, q):
+        """`terms(q)`, refusing a charge whose vector potential the chart
+        lacks."""
+        mass, A, V = self.terms(q)
+        if A is None:
+            raise NonOrthogonalChartError(
+                "charged Lagrangian needs an orthogonal chart")
+        return mass, A, V
+
+    def lagrangian(self, q, qdot) -> float:
+        qdot = np.asarray(qdot, dtype=float)
+        mass, A, V = self._terms_with_A(np.asarray(q, dtype=float))
+        return 0.5 * float(qdot @ mass @ qdot) + float(A @ qdot) - V
+
+    def momenta(self, y) -> np.ndarray:
+        """Canonical momenta p = M qdot + A."""
+        q, qdot = self._split(y)
+        mass, A, _ = self._terms_with_A(q)
+        return mass @ qdot + A
+
+    def omega_a(self, y) -> float:
+        return math.nan
+
 
 class _SpinningModel(_Model):
-    """Surface point plus a rotational phase theta: the FullState layout."""
+    """Surface point plus a rotational phase theta: the FullState layout.
+
+    `axial_inertia` is the inertia about the spin axis, so that the axial
+    rate is p_theta / axial_inertia.
+    """
 
     columns = ("x1", "x2", "theta", "v1", "v2", "theta_dot")
     n_pos = 3
@@ -83,13 +127,16 @@ class _SpinningModel(_Model):
         y = np.asarray(y, dtype=float)
         return FullState(x=y[0:2], v=y[3:5], theta=y[2], theta_dot=y[5])
 
+    def omega_a(self, y) -> float:
+        return float(self.momenta(y)[2]) / self.axial_inertia
+
 
 class SurfaceModel(_Model):
     """Charge L in the magnetic field K, with diametral inertia I_d.
 
     At I_d = 0 the right-hand side is `dynamics.magnetic_geodesic_rhs`, the
-    Christoffel path, which runs on any chart.  At I_d > 0 it is
-    `dynamics.reduced_disk_rhs`, a mass-matrix solve that needs an
+    Christoffel path, which runs on any chart.  At I_d > 0 it is the
+    mass-matrix solve of `dynamics.surface_terms`, which needs an
     orthogonal chart with an embedding.
     """
 
@@ -108,37 +155,16 @@ class SurfaceModel(_Model):
         self.I_d = float(I_d)
         self.potential = potential if potential is not None else no_potential()
 
+    def terms(self, q, qdot=None):
+        return dynamics.surface_terms(self.chart, self.m, self.I_d, self.L,
+                                      self.potential, q, qdot)
+
     def rhs(self, y) -> np.ndarray:
-        state = self.unpack(y)
-        if self.I_d == 0.0:
-            dx, dv = dynamics.magnetic_geodesic_rhs(
-                self.chart, self.m, self.L, self.potential, state)
-        else:
-            dx, dv = dynamics.reduced_disk_rhs(
-                self.chart, self.m, self.I_d, self.L, self.potential, state)
+        if self.I_d != 0.0:
+            return super().rhs(y)
+        dx, dv = dynamics.magnetic_geodesic_rhs(
+            self.chart, self.m, self.L, self.potential, self.unpack(y))
         return np.concatenate([dx, dv])
-
-    def energy(self, y) -> float:
-        return dynamics.reduced_disk_energy(
-            self.chart, self.m, self.I_d, self.potential, self.unpack(y))
-
-    def omega_a(self, y) -> float:
-        return math.nan
-
-    def lagrangian(self, q, qdot) -> float:
-        """Routhian-reduced Lagrangian; the L f.v term carries the charge."""
-        q = np.asarray(q, dtype=float)
-        qdot = np.asarray(qdot, dtype=float)
-        jet = geometry_jet(self.chart, q)
-        mass = dynamics.disk_mass_matrix(jet, self.m, self.I_d)
-        value = 0.5 * float(qdot @ mass @ qdot) - self.potential.value(jet.x)
-        if self.L != 0.0:
-            if jet.f is None:
-                raise NonOrthogonalChartError(
-                    "charged Lagrangian needs an orthogonal chart"
-                )
-            value += self.L * float(jet.f @ qdot)
-        return value
 
 
 class GeodesicModel(SurfaceModel):
@@ -170,35 +196,12 @@ class FullDiskModel(_SpinningModel):
         self.chart = chart
         self.monitor_chart = chart
         self.disk = disk
+        self.axial_inertia = disk.I_a
         self.potential = potential if potential is not None else no_potential()
 
-    def rhs(self, y) -> np.ndarray:
-        dx, dv, dth, dthd = dynamics.full_disk_rhs(
-            self.chart, self.disk, self.potential, self.unpack(y))
-        return np.concatenate([dx, [dth], dv, [dthd]])
-
-    def energy(self, y) -> float:
-        return dynamics.full_disk_energy(
-            self.chart, self.disk, self.potential, self.unpack(y))
-
-    def omega_a(self, y) -> float:
-        s = self.unpack(y)
-        jet = geometry_jet(self.chart, s.x)
-        return dynamics.axial_spin(jet, s)
-
-    def lagrangian(self, q, qdot) -> float:
-        """Full three-coordinate Lagrangian; q = (x1, x2, theta)."""
-        q = np.asarray(q, dtype=float)
-        qdot = np.asarray(qdot, dtype=float)
-        jet = geometry_jet(self.chart, q[0:2])
-        v = qdot[0:2]
-        omega_a = qdot[2] + float(jet.f @ v)
-        mass = dynamics.disk_mass_matrix(jet, self.disk.m, self.disk.I_d)
-        return (
-            0.5 * self.disk.I_a * omega_a**2
-            + 0.5 * float(v @ mass @ v)
-            - self.potential.value(jet.x)
-        )
+    def terms(self, q, qdot=None):
+        return dynamics.full_disk_terms(self.chart, self.disk, self.potential,
+                                        q, qdot)
 
 
 class TopModel(_SpinningModel):
@@ -206,30 +209,11 @@ class TopModel(_SpinningModel):
 
     def __init__(self, top: TopParams):
         self.top = top
+        self.axial_inertia = top.I3
         self.equivalence = top_to_sphere(top)
         # axis-direction monitors live on the equivalent sphere
         self.monitor_chart = self.equivalence.chart()
         self.chart = None
 
-    def rhs(self, y) -> np.ndarray:
-        dx, dv, dth, dthd = dynamics.top_rhs(self.top, self.unpack(y))
-        return np.concatenate([dx, [dth], dv, [dthd]])
-
-    def energy(self, y) -> float:
-        return dynamics.top_energy(self.top, self.unpack(y))
-
-    def omega_a(self, y) -> float:
-        s = self.unpack(y)
-        return float(s.theta_dot + s.v[1] * math.cos(float(s.x[0])))
-
-    def lagrangian(self, q, qdot) -> float:
-        q = np.asarray(q, dtype=float)
-        qdot = np.asarray(qdot, dtype=float)
-        t = self.top
-        s, c = math.sin(q[0]), math.cos(q[0])
-        omega3 = qdot[2] + qdot[1] * c
-        return (
-            0.5 * t.I1 * (qdot[0] ** 2 + qdot[1] ** 2 * s * s)
-            + 0.5 * t.I3 * omega3**2
-            - t.M * t.g * t.ell * c
-        )
+    def terms(self, q, qdot=None):
+        return dynamics.top_terms(self.top, q, qdot)

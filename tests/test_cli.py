@@ -403,3 +403,27 @@ def test_full_disk_runs_without_disk_radius(tmp_path, capsys):
     cfg["initial"] = {"x": [1.0, 0.0], "v": [0.0, 1.0], "omega_a": 50.0}
     assert main(["run", write_config(tmp_path, cfg)]) == 0
     assert "R_disk" not in parse_scenario(cfg).to_dict()["params"]
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("compare", "--tol", "inf"),
+    ("compare", "--tol", "nan"),
+    ("compare", "--tol", "-1"),
+    ("curvature", "--patch", "0,0.01"),
+    ("curvature", "--patch", "nan,0.01"),
+    ("curvature", "--at", "1,inf"),
+])
+def test_malformed_numeric_option_is_config_error(tmp_path, capsys, command,
+                                                  option, value):
+    cfg = scenario(tmp_path)
+    del cfg["output"]
+    path = write_config(tmp_path, cfg)
+    if command == "compare":
+        argv = ["compare", path, path, option, value]
+    else:
+        at = value if option == "--at" else "1,0"
+        argv = ["curvature", path, "--at", at]
+        if option == "--patch":
+            argv += ["--patch", value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {option}")

@@ -43,9 +43,8 @@ def test_magnetic_force_does_no_work():
 
 
 def test_plane_reduced_energy_is_kinetic():
-    chart = charts.plane()
-    state = dynamics.ReducedState(x=[0.0, 0.0], v=[3.0, 4.0])
-    E = dynamics.reduced_disk_energy(chart, 2.0, 0.0, None, state)
+    model = models.ReducedDiskModel(charts.plane(), 2.0, 0.0, 0.0)
+    E = model.energy([0.0, 0.0, 3.0, 4.0])
     assert E == pytest.approx(25.0)
 
 
@@ -173,16 +172,15 @@ def test_wobble_energy_bounded_by_shape_operator():
     # I_d w_d^2 <= I_d |S|^2 |v|_g^2 with |S| the largest principal curvature
     rng = np.random.default_rng(23)
     chart = charts.torus(2.0, 0.5)
+    I_d = 0.37
+    wobbling = models.ReducedDiskModel(chart, 1.0, I_d, 0.0)
+    flat = models.ReducedDiskModel(chart, 1.0, 0.0, 0.0)
     for _ in range(50):
         x = rng.uniform(0, 2 * math.pi, 2)
         v = rng.uniform(-2, 2, 2)
         jet = geometry_jet(chart, x)
-        state = dynamics.ReducedState(x=x, v=v)
-        I_d = 0.37
-        extra = (
-            dynamics.reduced_disk_energy(chart, 1.0, I_d, None, state)
-            - dynamics.reduced_disk_energy(chart, 1.0, 0.0, None, state)
-        )
+        y = np.concatenate([x, v])
+        extra = wobbling.energy(y) - flat.energy(y)
         speed2 = float(v @ jet.g @ v)
         norm_S = max(abs(float(e)) for e in np.linalg.eigvals(jet.S))
         assert -1e-12 <= extra <= 0.5 * I_d * norm_S**2 * speed2 + 1e-12
@@ -289,6 +287,56 @@ def test_disk_mass_derivative_matches_difference(kind):
             assert np.max(np.abs(dmass[k] - fd)) < 1e-9
 
 
+@pytest.mark.parametrize("kind", DISK_CHARTS)
+def test_full_disk_reduces_to_charge_in_curvature_pointwise(kind):
+    # the full disk's mass matrix holds no K; eliminating theta at the
+    # state's own axial momentum L = I_a omega_a must still give the reduced
+    # disk's acceleration, with its magnetic force L K Jv, at every state
+    make, box = DISK_CHARTS[kind]
+    chart = make()
+    disk = dynamics.DiskParams(m=1.1, I_a=0.3, I_d=0.17)
+    full = models.FullDiskModel(chart, disk)
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(200):
+        x, v = sample_point(rng, box), rng.uniform(-1.5, 1.5, 2)
+        y = np.concatenate([x, [rng.uniform(0.0, 2 * math.pi)], v,
+                            [rng.uniform(-20.0, 20.0)]])
+        _, a_red = dynamics.reduced_disk_rhs(
+            chart, disk.m, disk.I_d, disk.I_a * full.omega_a(y), None,
+            dynamics.ReducedState(x=x, v=v))
+        worst = max(worst, float(np.max(np.abs(full.rhs(y)[3:5] - a_red))))
+    assert worst < 1e-12
+
+
+def test_noether_momentum_of_the_azimuth_is_conserved():
+    # x2 is the azimuth of the sphere, of the torus and of the top's axis, so
+    # p_x2 = (M qdot + A)_2 is conserved; on the charged runs the vector
+    # potential's share L f_2 is needed for that
+    settings = IntegratorSettings(dt=1e-3, n_steps=500, sample_every=10)
+    disk = dynamics.DiskParams(m=1.0, I_a=0.02, I_d=0.01)
+    runs = []
+    for chart in (charts.sphere(1.0), charts.torus(2.0, 0.5)):
+        x, v = [1.0, 0.3], [0.2, 0.5]
+        runs += [
+            (models.MagneticModel(chart, 1.0, 1.5), [*x, *v], True),
+            (models.ReducedDiskModel(chart, 1.0, 0.01, 1.5), [*x, *v], True),
+            (models.FullDiskModel(chart, disk), [*x, 0.0, *v, 50.0], False),
+        ]
+    runs.append((models.TopModel(dynamics.TopParams(
+        M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)),
+        [math.pi / 3, 0.0, 0.0, 0.1, 0.4, 29.8], False))
+    for model, y0, charged in runs:
+        traj = integrate(model, y0, settings)
+        p = np.array([model.momenta(y) for y in traj.states])
+        conserved = [1, 2] if model.name == "top" else [1]
+        assert np.max(np.abs(p[:, conserved] - p[0, conserved])) <= 1e-10
+        if charged:
+            kinetic = np.array([
+                (model.terms(y[:2])[0] @ y[2:])[1] for y in traj.states])
+            assert np.max(np.abs(kinetic - kinetic[0])) >= 1e-3
+
+
 def test_top_rhs_conserves_momenta():
     top = dynamics.TopParams(M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)
     model = models.TopModel(top)
@@ -298,14 +346,8 @@ def test_top_rhs_conserves_momenta():
     ))
     traj = integrate(model, y0, IntegratorSettings(dt=1e-3, n_steps=2000,
                                                    sample_every=20))
-    p3 = []
-    p2 = []
-    for y in traj.states:
-        state = model.unpack(y)
-        a, b = dynamics.top_momenta(top, state)
-        p3.append(a)
-        p2.append(b)
-    for track in (np.array(p3), np.array(p2)):
+    p = np.array([model.momenta(y) for y in traj.states])
+    for track in (p[:, 2], p[:, 1]):
         assert np.max(np.abs(track - track[0])) / abs(track[0]) < 1e-9
 
 
@@ -320,8 +362,9 @@ def test_top_rhs_rejects_tilt_near_pole():
     top = dynamics.TopParams(M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)
     state = dynamics.FullState(x=[1e-5, 0.0], v=[0.0, 0.1], theta=0.0,
                                theta_dot=30.0)
+    model = models.TopModel(top)
     with pytest.raises(DomainError):
-        dynamics.top_rhs(top, state)
+        model.rhs(model.pack(state))
 
 
 def test_potential_enters_geodesic_rhs():
