@@ -313,8 +313,7 @@ def build_initial(cfg: ScenarioConfig, model) -> np.ndarray:
     ini = cfg.data["initial"]
     x = np.array(ini["x"], dtype=float)
     v = np.array(ini["v"], dtype=float)
-    chart = model.chart if model.chart is not None else model.monitor_chart
-    chart.domain.wrap(x)
+    model.monitor_chart.domain.wrap(x)
     if model.n_pos == 2:
         return model.pack(dynamics.ReducedState(x=x, v=v))
     state = dynamics.FullState(x=x, v=v, theta=ini["theta"],

@@ -38,9 +38,12 @@ from .errors import (
     MissingEmbeddingError,
     NonOrthogonalChartError,
     QuadratureError,
+    SpeedFloorError,
 )
 
 J_FLAT = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+CURVATURE_SPEED_FLOOR = 1e-8
 
 
 def cross3(a, b) -> np.ndarray:
@@ -200,6 +203,29 @@ def rotate90(jet: GeometryJet, v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     return jet.sqrt_det_g * (jet.g_inv @ (J_FLAT @ v))
+
+
+def geodesic_curvature_monitor(jet: GeometryJet, v, accel) -> float:
+    """Signed geodesic curvature of a path through `jet.x` with velocity v.
+
+    k = <Dv/dt, Jv>_g / |v|_g^3 with Dv/dt the covariant acceleration
+    assembled from the coordinate acceleration `accel`.  Positive k bends
+    the path to the left of the motion.  Below the speed floor the quantity
+    is 0/0; that raises rather than returning garbage.
+    """
+    v = np.asarray(v, dtype=float)
+    speed_sq = float(v @ jet.g @ v)
+    if speed_sq < CURVATURE_SPEED_FLOOR**2:
+        raise SpeedFloorError(
+            f"metric speed {math.sqrt(max(speed_sq, 0.0))!r} below floor"
+        )
+    cov_accel = np.asarray(accel, dtype=float) + np.einsum(
+        "kij,i,j->k", jet.christoffel, v, v
+    )
+    # <D, Jv>_g = sqrt(det g) * D . (J_flat v)
+    return float(
+        jet.sqrt_det_g * (cov_accel @ (J_FLAT @ v)) / speed_sq**1.5
+    )
 
 
 def curvature_density(chart: SurfaceChart, x, enforce_domain: bool = True) -> float:

@@ -7,26 +7,22 @@ reproduces the same floats bit for bit.
 Monitors are evaluated on the stored samples after stepping and never touch
 the integration state.  A step that leaves the chart domain truncates the
 trajectory at the last valid sample and flags it; non-finite states abort.
+A step's end point is only checked by the next step, so a last sample
+outside the chart is dropped and the run marked truncated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ReducedState
-from .errors import (
-    DomainError,
-    NonFiniteStateError,
-    SpeedFloorError,
-)
-from .geometry import J_FLAT, geometry_jet
-
-CURVATURE_SPEED_FLOOR = 1e-8
+from .errors import DomainError, NonFiniteStateError
 
 SCHEMES = ("rk4", "midpoint")
+
+# the monitor tracks, in the order `monitors(y)` returns them
+MONITORS = ("E", "speed", "omega_a", "k_geo", "K")
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ class Trajectory:
 
     states has one row per retained sample; column names are in `columns`.
     monitors maps name -> array aligned with `times`; entries that are not
-    defined at a sample (axial spin of an uncharged model, curvature of a
+    defined at a sample (axial spin of a surface model, curvature of a
     stalled point) hold NaN.
     """
 
@@ -86,59 +82,14 @@ def _midpoint_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + dt * rhs(y + 0.5 * dt * k1)
 
 
-def geodesic_curvature_monitor(chart, state: ReducedState, accel) -> float:
-    """Signed geodesic curvature of the traced path at one state.
-
-    k = <Dv/dt, Jv>_g / |v|_g^3 with Dv/dt the covariant acceleration
-    assembled from the coordinate acceleration `accel`.  Positive k bends
-    the path to the left of the motion.  Below the speed floor the quantity
-    is 0/0; that raises rather than returning garbage.
-    """
-    jet = geometry_jet(chart, state.x)
-    v = state.v
-    speed_sq = float(v @ jet.g @ v)
-    if speed_sq < CURVATURE_SPEED_FLOOR**2:
-        raise SpeedFloorError(
-            f"metric speed {math.sqrt(max(speed_sq, 0.0))!r} below floor"
-        )
-    cov_accel = np.asarray(accel, dtype=float) + np.einsum(
-        "kij,i,j->k", jet.christoffel, v, v
-    )
-    # <D, Jv>_g = sqrt(det g) * D . (J_flat v)
-    return float(
-        jet.sqrt_det_g * (cov_accel @ (J_FLAT @ v)) / speed_sq**1.5
-    )
-
-
-def _monitor_rows(model, y: np.ndarray) -> tuple[float, float, float, float, float]:
-    energy = model.energy(y)
-    speed = model.speed(y)
-    omega = model.omega_a(y)
-    try:
-        accel = model.accel_from_rate(model.rhs(y))
-        k_geo = geodesic_curvature_monitor(
-            model.monitor_chart,
-            ReducedState(x=model.position(y), v=model.velocity(y)),
-            accel,
-        )
-    except (SpeedFloorError, DomainError):
-        k_geo = math.nan
-    try:
-        K = geometry_jet(model.monitor_chart, model.position(y)).K
-    except DomainError:
-        K = math.nan
-    return energy, speed, omega, k_geo, K
-
-
 def integrate(model, y0, settings: IntegratorSettings) -> Trajectory:
     """Advance `model.rhs` from y0 and collect samples plus monitors.
 
     Parameters
     ----------
     model
-        Object with rhs/energy/speed/omega_a/position/velocity/
-        accel_from_rate, a `columns` tuple and a `monitor_chart` (see
-        `gyrosurf.models`).
+        Object with `rhs(y)`, `monitors(y)` -> (E, speed, omega_a, k_geo,
+        K), a `columns` tuple and a `name` (see `gyrosurf.models`).
     y0 : array_like
         Flat initial state in the model's layout.
     settings : IntegratorSettings
@@ -146,8 +97,9 @@ def integrate(model, y0, settings: IntegratorSettings) -> Trajectory:
     Returns
     -------
     Trajectory
-        Sample 0 is y0.  If a step raises DomainError the trajectory ends at
-        the last valid sample with `truncated` set and the reason recorded.
+        Sample 0 is y0.  If a step raises DomainError, or the last sample
+        lies outside the chart, the trajectory ends at the last valid sample
+        with `truncated` set and the reason recorded.
 
     Raises
     ------
@@ -178,19 +130,24 @@ def integrate(model, y0, settings: IntegratorSettings) -> Trajectory:
             times.append(step * settings.dt)
             samples.append(y.copy())
 
-    states = np.array(samples)
-    monitor_names = ("E", "speed", "omega_a", "k_geo", "K")
-    rows = np.empty((states.shape[0], len(monitor_names)))
-    for i in range(states.shape[0]):
-        rows[i] = _monitor_rows(model, states[i])
-    monitors = {name: rows[:, j].copy() for j, name in enumerate(monitor_names)}
+    # each earlier sample began a step, whose rhs checked it against the
+    # chart; nothing checked the last one
+    rows = [model.monitors(y) for y in samples[:-1]]
+    try:
+        rows.append(model.monitors(samples[-1]))
+    except DomainError as exc:
+        if not rows:
+            raise
+        del samples[-1], times[-1]
+        if not truncated:
+            truncated, reason = True, f"step {settings.n_steps}: {exc}"
 
     return Trajectory(
         model=model.name,
         columns=tuple(model.columns),
         times=np.array(times),
-        states=states,
-        monitors=monitors,
+        states=np.array(samples),
+        monitors=dict(zip(MONITORS, np.array(rows).T.copy())),
         truncated=truncated,
         truncation_reason=reason,
     )

@@ -4,9 +4,8 @@ Integrators, oracles and the CLI speak flat float vectors y = (q, qdot).
 Every model is one Lagrangian L = qdot . M qdot / 2 + A . qdot - V, and
 supplies it through `terms`: `terms(q)` gives (M, A, V) and
 `terms(q, qdot)` gives (M, dM, G, dV) for the Euler-Lagrange solve (see
-`dynamics`).  `_Model` writes `rhs`, `energy`, `lagrangian` and `momenta`
-(p = M qdot + A) once from them, plus the monitors' metric speed and axial
-spin.
+`dynamics`).  `_Model` writes `rhs`, `energy`, `lagrangian`, `momenta`
+(p = M qdot + A) and the integrator's monitor pass once from them.
 
 `SurfaceModel` is the single surface law m Dv/dt = L K Jv - grad V, plus
 the disk's diametral inertia I_d when that is nonzero.  `GeodesicModel`
@@ -37,8 +36,8 @@ from .dynamics import (
     TopParams,
     top_to_sphere,
 )
-from .errors import NonOrthogonalChartError
-from .geometry import geometry_jet
+from .errors import DomainError, NonOrthogonalChartError, SpeedFloorError
+from .geometry import geodesic_curvature_monitor, geometry_jet
 from .potentials import Potential, none as no_potential
 
 
@@ -56,20 +55,6 @@ class _Model:
         y = np.asarray(y, dtype=float)
         return ReducedState(x=y[0:2], v=y[2:4])
 
-    def position(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=float)[0:2]
-
-    def velocity(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=float)[self.n_pos:self.n_pos + 2]
-
-    # the velocity slot of a rate vector holds the surface acceleration
-    accel_from_rate = velocity
-
-    def speed(self, y) -> float:
-        v = self.velocity(y)
-        g = geometry_jet(self.monitor_chart, self.position(y)).g
-        return math.sqrt(float(v @ g @ v))
-
     def _split(self, y) -> tuple[np.ndarray, np.ndarray]:
         y = np.asarray(y, dtype=float)
         return y[:self.n_pos], y[self.n_pos:]
@@ -79,10 +64,44 @@ class _Model:
         accel = dynamics.quadratic_el_accel(*self.terms(q, qdot), qdot)
         return np.concatenate([qdot, accel])
 
+    @staticmethod
+    def _energy(qdot, mass, V) -> float:
+        return 0.5 * float(qdot @ mass @ qdot) + V
+
     def energy(self, y) -> float:
         q, qdot = self._split(y)
         mass, _, V = self.terms(q)
-        return 0.5 * float(qdot @ mass @ qdot) + V
+        return self._energy(qdot, mass, V)
+
+    def _omega_a(self, qdot, mass, A) -> float:
+        return math.nan
+
+    def omega_a(self, y) -> float:
+        """Axial spin p_theta / axial_inertia; NaN on surface models."""
+        q, qdot = self._split(y)
+        mass, A, _ = self.terms(q)
+        return self._omega_a(qdot, mass, A)
+
+    def monitors(self, y) -> tuple[float, float, float, float, float]:
+        """(E, speed, omega_a, k_geo, K) at y from one `terms(q)` call and
+        one jet of `monitor_chart`.
+
+        k_geo takes its acceleration from `self.rhs`, so that a model that
+        overrides only `rhs` is monitored by its own law.  It is NaN at a
+        stalled point and where the rhs refuses the state (the top's tilt
+        guard).
+        """
+        q, qdot = self._split(y)
+        mass, A, V = self.terms(q)
+        jet = geometry_jet(self.monitor_chart, q[:2])
+        v = qdot[:2]
+        try:
+            accel = self.rhs(y)[self.n_pos:self.n_pos + 2]
+            k_geo = geodesic_curvature_monitor(jet, v, accel)
+        except (SpeedFloorError, DomainError):
+            k_geo = math.nan
+        return (self._energy(qdot, mass, V), math.sqrt(float(v @ jet.g @ v)),
+                self._omega_a(qdot, mass, A), k_geo, jet.K)
 
     def _terms_with_A(self, q):
         """`terms(q)`, refusing a charge whose vector potential the chart
@@ -104,9 +123,6 @@ class _Model:
         mass, A, _ = self._terms_with_A(q)
         return mass @ qdot + A
 
-    def omega_a(self, y) -> float:
-        return math.nan
-
 
 class _SpinningModel(_Model):
     """Surface point plus a rotational phase theta: the FullState layout.
@@ -127,8 +143,8 @@ class _SpinningModel(_Model):
         y = np.asarray(y, dtype=float)
         return FullState(x=y[0:2], v=y[3:5], theta=y[2], theta_dot=y[5])
 
-    def omega_a(self, y) -> float:
-        return float(self.momenta(y)[2]) / self.axial_inertia
+    def _omega_a(self, qdot, mass, A) -> float:
+        return float((mass @ qdot + A)[2]) / self.axial_inertia
 
 
 class SurfaceModel(_Model):

@@ -130,6 +130,19 @@ def test_pole_crossing_truncates_with_exit_3(tmp_path, capsys):
     assert lines[-1].startswith("# truncated: step ")
 
 
+def test_last_sample_outside_domain_truncates_with_exit_3(tmp_path, capsys):
+    # every step is stored; the one after step 8 has left the sphere's chart
+    cfg = scenario(tmp_path)
+    cfg["params"] = {"m": 1.0, "L": 2.8770374735273156}
+    cfg["initial"] = {"x": [0.019158115821879033, 0.0],
+                      "v": [-2.8622397754227182, 12.497884022113702]}
+    cfg["integrator"] = {"dt": 1e-3, "n_steps": 200, "sample_every": 1}
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert "truncated: step 9: " in capsys.readouterr().err
+    lines = (tmp_path / "out.csv").read_text().rstrip().splitlines()
+    assert lines[-1].startswith("# truncated: step 9: x1 = ")
+
+
 def test_initial_point_outside_domain(tmp_path, capsys):
     cfg = scenario(tmp_path)
     cfg["initial"]["x"] = [4.0, 0.0]
