@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 
-from gyrosurf import dynamics, models, potentials, verify
-from gyrosurf.integrators import IntegratorSettings, integrate
-from gyrosurf.suites import steady_precession_rate
+from gyrosurf import dynamics
+from gyrosurf.integrators import IntegratorSettings
+from gyrosurf.suites import (
+    steady_precession_rate,
+    steady_precession_tilt_error,
+    top_vs_sphere,
+)
 
 top = dynamics.TopParams(M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)
 eq = dynamics.top_to_sphere(top)
@@ -24,20 +28,7 @@ print("equivalent sphere: R = %g, particle mass m = %g, charge L = %g"
 x1 = math.pi / 3
 settings = IntegratorSettings(dt=1e-3, n_steps=5000, sample_every=10)
 
-top_model = models.TopModel(top)
-y_top = top_model.pack(dynamics.FullState(
-    x=[x1, 0.0], v=[0.0, 0.4], theta=0.0,
-    theta_dot=omega_a - 0.4 * math.cos(x1)))
-traj_top = integrate(top_model, y_top, settings)
-
-sphere_model = models.MagneticModel(
-    eq.chart(), eq.m, eq.charge(omega_a),
-    potentials.axis_cosine(eq.m * top.g * eq.R))
-traj_sph = integrate(sphere_model, np.array([x1, 0.0, 0.0, 0.4]), settings)
-
-rep = verify.compare_trajectories(traj_top, traj_sph,
-                                  metric="chart_distance",
-                                  chart=sphere_model.chart)
+traj_top, rep = top_vs_sphere(top, [x1, 0.0], [0.0, 0.4], omega_a, settings)
 print("worst separation over %d samples: %.3e (metric distance, R = %g)"
       % (traj_top.n_samples, rep.max_abs, eq.R))
 
@@ -48,9 +39,6 @@ print("nutation band: tilt swings between %.6f and %.6f" % (lo, hi))
 rate = steady_precession_rate(top, x1, omega_a)
 print()
 print("steady precession at tilt pi/3 needs rate %.6f" % rate)
-y_st = top_model.pack(dynamics.FullState(
-    x=[x1, 0.0], v=[0.0, rate], theta=0.0,
-    theta_dot=omega_a - rate * math.cos(x1)))
-traj_st = integrate(top_model, y_st, settings)
-wobble = np.max(np.abs(traj_st.column("x1") - x1))
+wobble = np.max(np.abs(
+    steady_precession_tilt_error(top, x1, omega_a, settings)))
 print("tilt drift over t in [0, 5]: %.3e" % wobble)

@@ -17,7 +17,6 @@ from .dynamics import (
     ReducedState,
     TopParams,
     TopSphereEquivalence,
-    axial_spin,
     parallel_transport_rate,
     top_to_sphere,
 )
@@ -74,8 +73,7 @@ __all__ = [
     "Domain", "SurfaceChart", "custom", "cylinder", "plane", "saddle",
     "sphere", "torus",
     "DiskParams", "FullState", "ReducedState", "TopParams",
-    "TopSphereEquivalence", "axial_spin", "parallel_transport_rate",
-    "top_to_sphere",
+    "TopSphereEquivalence", "parallel_transport_rate", "top_to_sphere",
     "ConfigError", "DegenerateMetricError", "DomainError", "ExpressionError",
     "GridMismatchError", "GyrosurfError", "InsufficientSamplesError",
     "MissingEmbeddingError", "NonFiniteStateError", "NonOrthogonalChartError",

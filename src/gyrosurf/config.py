@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import sys
 
 import numpy as np
@@ -316,17 +315,19 @@ def build_initial(cfg: ScenarioConfig, model) -> np.ndarray:
     model.monitor_chart.domain.wrap(x)
     if model.n_pos == 2:
         return model.pack(dynamics.ReducedState(x=x, v=v))
-    state = dynamics.FullState(x=x, v=v, theta=ini["theta"],
-                               theta_dot=ini.get("theta_dot", 0.0))
     if "theta_dot" not in ini:
-        # omega_a is theta_dot plus a term in (x, v); at theta_dot = 0 the
-        # model's axial spin is that term alone
-        state.theta_dot = ini["omega_a"] - model.omega_a(model.pack(state))
-    return model.pack(state)
+        return model.start(x, v, ini["omega_a"], ini["theta"])
+    return model.pack(dynamics.FullState(x=x, v=v, theta=ini["theta"],
+                                         theta_dot=ini["theta_dot"]))
 
 
 def build_settings(cfg: ScenarioConfig) -> IntegratorSettings:
-    return IntegratorSettings(**cfg.data["integrator"])
+    try:
+        return IntegratorSettings(**cfg.data["integrator"])
+    except ValueError as exc:
+        # the schema has checked each value; what is left is sample_every
+        # not dividing n_steps
+        raise ConfigError(str(exc), key="integrator.sample_every")
 
 
 def map_top_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -334,18 +335,16 @@ def map_top_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.model_kind != "top":
         raise ConfigError("mapping applies to top scenarios only", key="model")
     ini = cfg.data["initial"]
-    top = dynamics.TopParams(**cfg.data["params"])
-    eq = dynamics.top_to_sphere(top)
-    if "omega_a" in ini:
-        omega_a = ini["omega_a"]
-    else:
-        omega_a = ini["theta_dot"] + ini["v"][1] * math.cos(ini["x"][0])
+    top = build_model(cfg)
+    omega_a = ini["omega_a"] if "omega_a" in ini \
+        else top.omega_a(build_initial(cfg, top))
+    twin = top.sphere_twin(omega_a)
     derived = {
-        "surface": {"kind": "sphere", "R": eq.R},
-        "model": "magnetic",
-        "params": {"m": eq.m, "L": eq.charge(omega_a)},
+        "surface": {"kind": twin.chart.kind, **twin.chart.params},
+        "model": twin.name,
+        "params": {"m": twin.m, "L": twin.L},
         "initial": {"x": list(ini["x"]), "v": list(ini["v"])},
-        "potential": {"kind": "axis_cosine", "c": eq.m * top.g * eq.R},
+        "potential": {"kind": twin.potential.kind, **twin.potential.params},
         "integrator": dict(cfg.data["integrator"]),
     }
     if "compare" in cfg.data:

@@ -137,16 +137,6 @@ def parallel_transport_rate(jet: GeometryJet, v) -> float:
     return float(-(jet.f @ v))
 
 
-def axial_spin(jet: GeometryJet, state: FullState) -> float:
-    """Angular velocity about the surface normal: omega_a = theta_dot + f . v.
-
-    Constant along full-disk motion; the conserved momentum is I_a * omega_a.
-    """
-    if jet.f is None:
-        raise NonOrthogonalChartError("axial spin needs an orthogonal chart")
-    return float(state.theta_dot + jet.f @ state.v)
-
-
 def magnetic_force_covector(jet: GeometryJet, L: float, v) -> np.ndarray:
     """Right-hand side of the momentum balance: sqrt(a11 a22) L K [[0,-1],[1,0]] v.
 
@@ -358,8 +348,8 @@ class TopSphereEquivalence:
     def charge(self, omega_a: float) -> float:
         return self.I3 * omega_a
 
-    def chart(self, pole_guard: float = 1e-3) -> SurfaceChart:
-        return sphere(self.R, pole_guard=pole_guard)
+    def chart(self) -> SurfaceChart:
+        return sphere(self.R)
 
 
 def top_to_sphere(top: TopParams) -> TopSphereEquivalence:

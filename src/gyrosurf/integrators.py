@@ -39,6 +39,10 @@ class IntegratorSettings:
             raise ValueError("n_steps must be at least 1")
         if self.sample_every < 1:
             raise ValueError("sample_every must be at least 1")
+        # so that the last step is stored and no computed step is dropped
+        if self.n_steps % self.sample_every:
+            raise ValueError(f"sample_every = {self.sample_every} must "
+                             f"divide n_steps = {self.n_steps}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 

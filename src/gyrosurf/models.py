@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .errors import DomainError, NonOrthogonalChartError, SpeedFloorError
 from .geometry import geodesic_curvature_monitor, geometry_jet
-from .potentials import Potential, none as no_potential
+from .potentials import Potential, axis_cosine, none as no_potential
 
 
 class _Model:
@@ -146,6 +146,17 @@ class _SpinningModel(_Model):
     def _omega_a(self, qdot, mass, A) -> float:
         return float((mass @ qdot + A)[2]) / self.axial_inertia
 
+    def start(self, x, v, omega_a: float, theta: float = 0.0) -> np.ndarray:
+        """The state at (x, theta) with surface velocity v and axial spin
+        omega_a.
+
+        omega_a is theta_dot plus a term in (x, v), so theta_dot is omega_a
+        minus the axial spin at theta_dot = 0.
+        """
+        y = self.pack(FullState(x=x, v=v, theta=theta, theta_dot=0.0))
+        y[5] = omega_a - self.omega_a(y)
+        return y
+
 
 class SurfaceModel(_Model):
     """Charge L in the magnetic field K, with diametral inertia I_d.
@@ -233,3 +244,11 @@ class TopModel(_SpinningModel):
 
     def terms(self, q, qdot=None):
         return dynamics.top_terms(self.top, q, qdot)
+
+    def sphere_twin(self, omega_a: float) -> "MagneticModel":
+        """The charged particle on the equivalent sphere that moves like
+        this top at axial spin omega_a (Goldstein, Classical Mechanics,
+        section 5.7): charge I3 omega_a, potential m g R cos(x1)."""
+        eq = self.equivalence
+        return MagneticModel(self.monitor_chart, eq.m, eq.charge(omega_a),
+                             axis_cosine(eq.m * self.top.g * eq.R))

@@ -1,9 +1,15 @@
-"""Named check batteries behind the `verify` subcommand.
+"""The checks of the paper's two claims, and the `verify` suites that run
+them.
 
-Each check returns a CheckResult; the report format is one line per check,
-`name,status,max_abs,rms,tolerance`.  Suites are trimmed-down versions of
-the acceptance tests: same oracles, shorter runs, so `verify all` stays
-interactive.
+A shared check takes its settings and scenario data as arguments, so the
+`verify` suites and the acceptance gate (`tests/test_acceptance.py`) run the
+same code: the suites are the acceptance checks at short settings, so that
+`verify all` stays interactive.  The drift of a conserved track q is
+max|q - q0| / max(1, |q0|) (`drift`), relative for large values and
+absolute near zero.
+
+Each suite check returns a CheckResult; the report format is one line per
+check, `name,status,max_abs,rms,tolerance`.
 """
 
 from __future__ import annotations
@@ -13,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import charts, dynamics, models, potentials, verify
+from . import charts, dynamics, models, verify
 from .geometry import gauss_bonnet_patch_K, geometry_jet, rotate90
 from .integrators import IntegratorSettings, integrate
-
-SUITE_NAMES = ("geometry", "dynamics", "top", "all")
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,88 @@ def _from_report(name: str, report: verify.ResidualReport,
                  tolerance: float) -> CheckResult:
     return CheckResult(name, report.max_abs <= tolerance,
                        report.max_abs, report.rms, tolerance)
+
+
+# -- shared checks -------------------------------------------------------------
+
+
+def drift(track) -> float:
+    """max|q - q0| / max(1, |q0|) over a conserved track q; NaN if any
+    sample is NaN, so that a broken run cannot pass."""
+    track = np.asarray(track, dtype=float)
+    return float(np.max(np.abs(track - track[0])) / max(1.0, abs(track[0])))
+
+
+def frame_curl_residuals(chart, points, h: float = 1e-4,
+                         jet=geometry_jet) -> np.ndarray:
+    """Central-difference curl of the frame covector f minus K sqrt(det g),
+    one entry per point: the paper's identity d2 f1 - d1 f2 = K sqrt(det g).
+
+    `jet(chart, x, enforce_domain=...)` makes the jets; a wrapped `jet`
+    plants a defect for a mutation check.
+    """
+    def f_at(x):
+        return jet(chart, x, enforce_domain=False).f
+
+    out = []
+    for x in np.asarray(points, dtype=float):
+        d2f1 = (f_at(x + [0, h])[0] - f_at(x - [0, h])[0]) / (2 * h)
+        d1f2 = (f_at(x + [h, 0])[1] - f_at(x - [h, 0])[1]) / (2 * h)
+        center = jet(chart, x)
+        out.append(d2f1 - d1f2 - center.sqrt_det_g * center.K)
+    return np.array(out)
+
+
+def zero_inertia_gap(chart, m: float, L: float,
+                     state: dynamics.ReducedState) -> np.ndarray:
+    """(dx, dv) of the mass-matrix law `reduced_disk_rhs` at I_d = 0 minus
+    those of the Christoffel law `magnetic_geodesic_rhs`."""
+    dx_r, dv_r = dynamics.reduced_disk_rhs(chart, m, 0.0, L, None, state)
+    dx_m, dv_m = dynamics.magnetic_geodesic_rhs(chart, m, L, None, state)
+    return np.concatenate([dx_r - dx_m, dv_r - dv_m])
+
+
+def steady_precession_rate(top: dynamics.TopParams, x1: float,
+                           omega_a: float) -> float:
+    """Slow root of I1 W^2 cos(x1) - I3 omega_a W + M g ell = 0.
+
+    With A = I1 cos(x1), B = I3 omega_a and C = M g ell the root is
+    W = 2 C / (B + sqrt(B^2 - 4 A C)), which stays exact as A -> 0 and also
+    holds for a top below the horizontal (A < 0).
+    """
+    A = top.I1 * math.cos(x1)
+    B = top.I3 * omega_a
+    C = top.M * top.g * top.ell
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        raise ValueError("no real precession rate: spin too slow")
+    return 2.0 * C / (B + math.sqrt(disc))
+
+
+def steady_precession_tilt_error(top: dynamics.TopParams, x1: float,
+                                 omega_a: float,
+                                 settings: IntegratorSettings) -> np.ndarray:
+    """Tilt minus x1 along a top started at tilt x1 with the slow
+    steady-precession rate; it stays zero up to the integration error."""
+    model = models.TopModel(top)
+    rate = steady_precession_rate(top, x1, omega_a)
+    y0 = model.start([x1, 0.0], [0.0, rate], omega_a)
+    return integrate(model, y0, settings).column("x1") - x1
+
+
+def top_vs_sphere(top: dynamics.TopParams, x, v, omega_a: float,
+                  settings: IntegratorSettings):
+    """Run the top and its sphere twin from (x, v) at axial spin omega_a.
+
+    Returns the top's trajectory and the chart distance between the two.
+    """
+    model = models.TopModel(top)
+    twin = model.sphere_twin(omega_a)
+    traj_top = integrate(model, model.start(x, v, omega_a), settings)
+    traj_twin = integrate(twin, twin.pack(dynamics.ReducedState(x, v)),
+                          settings)
+    return traj_top, verify.compare_trajectories(
+        traj_top, traj_twin, "chart_distance", chart=twin.chart)
 
 
 # -- geometry ------------------------------------------------------------------
@@ -92,18 +178,11 @@ def geometry_checks() -> list[CheckResult]:
         errs.append(geometry_jet(sad, x).K - want)
     out.append(_result("saddle_curvature", errs, 1e-10))
 
-    # structure identity: FD curl of the frame covector vs K * sqrt(det g)
     errs = []
-    h = 1e-4
     for ch, lo, hi in ((sph1, 0.3, math.pi - 0.3), (tor, 0.0, 2 * math.pi)):
-        for _ in range(50):
-            x = np.array([rng.uniform(lo, hi), rng.uniform(0.0, 2 * math.pi)])
-            def f_at(p):
-                return geometry_jet(ch, p, enforce_domain=False).f
-            d2f1 = (f_at(x + [0, h])[0] - f_at(x - [0, h])[0]) / (2 * h)
-            d1f2 = (f_at(x + [h, 0])[1] - f_at(x - [h, 0])[1]) / (2 * h)
-            jet = geometry_jet(ch, x)
-            errs.append((d2f1 - d1f2) - jet.sqrt_det_g * jet.K)
+        pts = [[rng.uniform(lo, hi), rng.uniform(0.0, 2 * math.pi)]
+               for _ in range(50)]
+        errs.extend(frame_curl_residuals(ch, pts))
     out.append(_result("lemma2_identity", errs, 1e-6))
 
     # rectangle-loop estimate against analytic K
@@ -157,11 +236,6 @@ def geometry_checks() -> list[CheckResult]:
 # -- dynamics ------------------------------------------------------------------
 
 
-def _drift(values: np.ndarray) -> float:
-    ref = abs(float(values[0]))
-    return float(np.max(np.abs(values - values[0]))) / max(ref, 1e-300)
-
-
 def dynamics_checks() -> list[CheckResult]:
     out = []
     ch = charts.sphere(1.0)
@@ -170,10 +244,11 @@ def dynamics_checks() -> list[CheckResult]:
     mag = models.MagneticModel(ch, 1.0, 2.0)
     y0 = mag.pack(dynamics.ReducedState([math.pi / 2, 0.0], [0.0, 1.0]))
     traj = integrate(mag, y0, settings)
+    # E0 = 0.5, so this bound is 1e-10 relative to E0
     out.append(_result("magnetic_energy_drift",
-                       [_drift(traj.monitors["E"])], 1e-10))
+                       [drift(traj.monitors["E"])], 5e-11))
     out.append(_result("magnetic_speed_drift",
-                       [_drift(traj.monitors["speed"])], 1e-10))
+                       [drift(traj.monitors["speed"])], 1e-10))
 
     # geodesic curvature along the run must equal L K / (m |v|)
     errs = []
@@ -182,35 +257,27 @@ def dynamics_checks() -> list[CheckResult]:
         errs.append(traj.monitors["k_geo"][i] - want)
     out.append(_result("curvature_force_law", errs, 1e-8))
 
-    # the mass-matrix path at I_d = 0 against the model's Christoffel path
-    def zero_inertia_gap(model, y):
-        dx, dv = dynamics.reduced_disk_rhs(model.chart, model.m, 0.0, model.L,
-                                           None, model.unpack(y))
-        return np.concatenate([dx, dv]) - model.rhs(y)
-
     rng = np.random.default_rng(7)
     errs = []
-    mag_t = models.MagneticModel(charts.torus(2.0, 0.5), 1.0, 1.0)
+    tor = charts.torus(2.0, 0.5)
     for _ in range(50):
         x = [rng.uniform(0.5, math.pi - 0.5), rng.uniform(0.0, 2 * math.pi)]
         v = rng.uniform(-1.0, 1.0, 2)
-        errs.append(zero_inertia_gap(mag, np.concatenate([x, v])))
-        y2 = np.concatenate([rng.uniform(0.0, 2 * math.pi, 2), v])
-        errs.append(zero_inertia_gap(mag_t, y2))
+        errs.append(zero_inertia_gap(ch, 1.0, 2.0,
+                                     dynamics.ReducedState(x, v)))
+        x_t = rng.uniform(0.0, 2 * math.pi, 2)
+        errs.append(zero_inertia_gap(tor, 1.0, 1.0,
+                                     dynamics.ReducedState(x_t, v)))
     out.append(_result("reduced_zero_inertia_matches_magnetic", errs, 1e-10))
 
     disk = dynamics.DiskParams(m=1.0, I_a=0.02, I_d=0.01, R_disk=0.2)
     full = models.FullDiskModel(ch, disk)
-    jet0 = geometry_jet(ch, [math.pi / 2, 0.0])
-    y0f = full.pack(dynamics.FullState(
-        x=[math.pi / 2, 0.0], v=[0.0, 1.0], theta=0.0,
-        theta_dot=100.0 - float(jet0.f @ [0.0, 1.0]),
-    ))
+    y0f = full.start([math.pi / 2, 0.0], [0.0, 1.0], 100.0)
     traj_f = integrate(full, y0f, settings)
     out.append(_result("full_energy_drift",
-                       [_drift(traj_f.monitors["E"])], 1e-8))
+                       [drift(traj_f.monitors["E"])], 1e-8))
     out.append(_result("full_axial_momentum_drift",
-                       [_drift(traj_f.monitors["omega_a"] * disk.I_a)], 1e-8))
+                       [drift(traj_f.monitors["omega_a"] * disk.I_a)], 1e-8))
 
     red_d = models.ReducedDiskModel(ch, 1.0, disk.I_d, disk.I_a * 100.0)
     y0r = red_d.pack(dynamics.ReducedState([math.pi / 2, 0.0], [0.0, 1.0]))
@@ -229,23 +296,6 @@ def dynamics_checks() -> list[CheckResult]:
 # -- top -----------------------------------------------------------------------
 
 
-def steady_precession_rate(top: dynamics.TopParams, x1: float,
-                           omega_a: float) -> float:
-    """Slow root of I1 W^2 cos(x1) - I3 omega_a W + M g ell = 0.
-
-    With A = I1 cos(x1), B = I3 omega_a and C = M g ell the root is
-    W = 2 C / (B + sqrt(B^2 - 4 A C)), which stays exact as A -> 0 and also
-    holds for a top below the horizontal (A < 0).
-    """
-    A = top.I1 * math.cos(x1)
-    B = top.I3 * omega_a
-    C = top.M * top.g * top.ell
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        raise ValueError("no real precession rate: spin too slow")
-    return 2.0 * C / (B + math.sqrt(disc))
-
-
 def top_checks() -> list[CheckResult]:
     out = []
     top = dynamics.TopParams(M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)
@@ -253,51 +303,28 @@ def top_checks() -> list[CheckResult]:
     out.append(_result("top_sphere_parameters",
                        [eq.R - 4.0, eq.m - 0.125], 0.0))
 
-    tm = models.TopModel(top)
-    omega_a0 = 30.0
-    x0, v0 = [math.pi / 3, 0.0], [0.0, 0.3]
-    y0t = tm.pack(dynamics.FullState(
-        x=x0, v=v0, theta=0.0, theta_dot=omega_a0 - v0[1] * math.cos(x0[0])
-    ))
     settings = IntegratorSettings(dt=1e-3, n_steps=2000, sample_every=10)
-    traj_t = integrate(tm, y0t, settings)
+    traj_t, rep = top_vs_sphere(top, [math.pi / 3, 0.0], [0.0, 0.3], 30.0,
+                                settings)
     out.append(_result("top_energy_drift",
-                       [_drift(traj_t.monitors["E"])], 1e-8))
+                       [drift(traj_t.monitors["E"])], 1e-8))
     out.append(_result("top_axial_momentum_drift",
-                       [_drift(traj_t.monitors["omega_a"] * top.I3)], 1e-8))
-
-    ch = eq.chart()
-    mag = models.MagneticModel(ch, eq.m, eq.charge(omega_a0),
-                               potentials.axis_cosine(eq.m * top.g * eq.R))
-    y0m = mag.pack(dynamics.ReducedState(x0, v0))
-    traj_m = integrate(mag, y0m, settings)
-    rep = verify.compare_trajectories(traj_t, traj_m, "chart_distance",
-                                      chart=ch)
+                       [drift(traj_t.monitors["omega_a"] * top.I3)], 1e-8))
     out.append(_from_report("top_matches_sphere_magnetic", rep, 1e-6))
-
-    Omega = steady_precession_rate(top, math.pi / 3, omega_a0)
-    y0s = tm.pack(dynamics.FullState(
-        x=[math.pi / 3, 0.0], v=[0.0, Omega], theta=0.0,
-        theta_dot=omega_a0 - Omega * math.cos(math.pi / 3),
-    ))
-    traj_s = integrate(tm, y0s, settings)
-    out.append(_result("steady_precession_holds_tilt",
-                       traj_s.column("x1") - math.pi / 3, 1e-8))
+    out.append(_result(
+        "steady_precession_holds_tilt",
+        steady_precession_tilt_error(top, math.pi / 3, 30.0, settings), 1e-8))
 
     return out
 
 
-def all_checks() -> list[CheckResult]:
-    return geometry_checks() + dynamics_checks() + top_checks()
+SUITES = {"geometry": geometry_checks, "dynamics": dynamics_checks,
+          "top": top_checks}
+SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "geometry":
-        return geometry_checks()
-    if name == "dynamics":
-        return dynamics_checks()
-    if name == "top":
-        return top_checks()
-    if name == "all":
-        return all_checks()
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    chosen = SUITES.values() if name == "all" else [SUITES[name]]
+    return [result for checks in chosen for result in checks()]

@@ -7,14 +7,22 @@ that stay away from coordinate poles); the quantities themselves are the
 point, the initial data are not.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gyrosurf import charts, dynamics, models, potentials, verify
+from gyrosurf import charts, dynamics, models, verify
 from gyrosurf.geometry import J_FLAT, gauss_bonnet_patch_K, geometry_jet
 from gyrosurf.integrators import IntegratorSettings, integrate
+from gyrosurf.suites import (
+    drift,
+    frame_curl_residuals,
+    steady_precession_tilt_error,
+    top_vs_sphere,
+    zero_inertia_gap,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -43,26 +51,8 @@ ORTHOGONAL_CHARTS = {
 }
 
 
-def identity_residual(chart, pts, h=1e-4, flip_k2=False, abs_K=False):
-    """FD curl of the frame covector minus the curvature density.
-
-    The two mutation switches reproduce specific implementation bugs: a sign
-    error in the second principal component and rectifying the curvature.
-    """
-    def f_at(x):
-        f = geometry_jet(chart, x, enforce_domain=False).f.copy()
-        if flip_k2:
-            f[1] = -f[1]
-        return f
-
-    worst = 0.0
-    for x in pts:
-        d2f1 = (f_at(x + [0, h])[0] - f_at(x - [0, h])[0]) / (2 * h)
-        d1f2 = (f_at(x + [h, 0])[1] - f_at(x - [h, 0])[1]) / (2 * h)
-        jet = geometry_jet(chart, x)
-        K = abs(jet.K) if abs_K else jet.K
-        worst = max(worst, abs(d2f1 - d1f2 - jet.sqrt_det_g * K))
-    return worst
+def worst_curl(chart, pts, jet=geometry_jet):
+    return float(np.max(np.abs(frame_curl_residuals(chart, pts, jet=jet))))
 
 
 def test_criterion_01_curvature_values():
@@ -101,7 +91,7 @@ def test_criterion_02_frame_curl_identity():
     worst = 0.0
     for chart in ORTHOGONAL_CHARTS.values():
         pts = random_points(rng, chart, 100)
-        worst = max(worst, identity_residual(chart, pts))
+        worst = max(worst, worst_curl(chart, pts))
     report(2, "frame_curl_equals_curvature", worst, 1e-6)
 
 
@@ -109,12 +99,6 @@ CONSERVATION_STEPS = IntegratorSettings(dt=1e-3, n_steps=10_000,
                                         sample_every=1)
 DISK = dynamics.DiskParams(m=1.0, I_a=0.02, I_d=0.01, R_disk=0.2)
 TOP = dynamics.TopParams(M=1.0, ell=0.5, I1=2.0, I3=1.0, g=9.8)
-
-
-def drift(track):
-    track = np.asarray(track)
-    scale = max(1.0, abs(track[0]))
-    return float(np.max(np.abs(track - track[0])) / scale)
 
 
 def test_criterion_03_conservation_laws():
@@ -131,17 +115,12 @@ def test_criterion_03_conservation_laws():
             CONSERVATION_STEPS),
     }
     full = models.FullDiskModel(sph, DISK)
-    jet0 = geometry_jet(sph, equator[:2])
-    theta_dot0 = 100.0 - float(jet0.f @ equator[2:])
     runs["full_disk"] = integrate(
-        full, full.pack(dynamics.FullState(x=equator[:2], v=equator[2:],
-                                           theta=0.0, theta_dot=theta_dot0)),
-        CONSERVATION_STEPS)
+        full, full.start(equator[:2], equator[2:], 100.0), CONSERVATION_STEPS)
     top_model = models.TopModel(TOP)
-    y0 = top_model.pack(dynamics.FullState(
-        x=[math.pi / 3, 0.0], v=[0.0, 0.4], theta=0.0,
-        theta_dot=30.0 - 0.4 * math.cos(math.pi / 3)))
-    runs["top"] = integrate(top_model, y0, CONSERVATION_STEPS)
+    runs["top"] = integrate(
+        top_model, top_model.start([math.pi / 3, 0.0], [0.0, 0.4], 30.0),
+        CONSERVATION_STEPS)
 
     worst_E = max(drift(traj.monitors["E"]) for traj in runs.values())
     report(3, "energy_drift_all_models", worst_E, 1e-8)
@@ -170,40 +149,18 @@ def test_criterion_05_flat_surface_no_force():
     report(5, "charge_is_inert_on_cylinder", rep.max_abs, 1e-8)
 
 
-def top_and_equivalent(x1, v, omega_a, settings):
-    top_model = models.TopModel(TOP)
-    y_top = top_model.pack(dynamics.FullState(
-        x=[x1, 0.0], v=list(v), theta=0.0,
-        theta_dot=omega_a - v[1] * math.cos(x1)))
-    eq = dynamics.top_to_sphere(TOP)
-    sphere_model = models.MagneticModel(
-        eq.chart(), eq.m, eq.charge(omega_a),
-        potentials.axis_cosine(eq.m * TOP.g * eq.R))
-    y_sph = np.array([x1, 0.0, v[0], v[1]])
-    return (integrate(top_model, y_top, settings),
-            integrate(sphere_model, y_sph, settings), sphere_model.chart)
-
-
 def test_criterion_06_top_is_curvature_coupled_particle():
     # ten nutation periods: the fast frequency is about I3 w_a / I1 = 15 rad/s
     settings = IntegratorSettings(dt=1e-3, n_steps=4200, sample_every=1)
-    t_top, t_sph, chart = top_and_equivalent(math.pi / 3, (0.0, 0.4), 30.0,
-                                             settings)
-    rep = verify.compare_trajectories(t_top, t_sph, metric="chart_distance",
-                                      chart=chart)
+    _, rep = top_vs_sphere(TOP, [math.pi / 3, 0.0], [0.0, 0.4], 30.0,
+                           settings)
     report(6, "top_matches_sphere_magnetic", rep.max_abs, 1e-6)
 
 
 def test_criterion_07_steady_precession():
-    from gyrosurf.suites import steady_precession_rate
-    x1 = math.pi / 3
-    rate = steady_precession_rate(TOP, x1, 30.0)
-    model = models.TopModel(TOP)
-    y0 = model.pack(dynamics.FullState(
-        x=[x1, 0.0], v=[0.0, rate], theta=0.0,
-        theta_dot=30.0 - rate * math.cos(x1)))
-    traj = integrate(model, y0, CONSERVATION_STEPS)
-    worst = float(np.max(np.abs(traj.column("x1") - x1)))
+    errs = steady_precession_tilt_error(TOP, math.pi / 3, 30.0,
+                                        CONSERVATION_STEPS)
+    worst = float(np.max(np.abs(errs)))
     report(7, "steady_precession_holds_tilt", worst, 1e-8)
 
 
@@ -213,18 +170,14 @@ def test_criterion_08_zero_inertia_reduction():
     for chart in (charts.sphere(1.0), charts.torus(2.0, 0.5)):
         for x in random_points(rng, chart, 100, margin=0.3):
             state = dynamics.ReducedState(x=x, v=rng.uniform(-2, 2, 2))
-            _, a_red = dynamics.reduced_disk_rhs(chart, 1.3, 0.0, 0.8, None,
-                                                 state)
-            _, a_mag = dynamics.magnetic_geodesic_rhs(chart, 1.3, 0.8, None,
-                                                      state)
-            worst = max(worst, float(np.max(np.abs(a_red - a_mag))))
+            gap = zero_inertia_gap(chart, 1.3, 0.8, state)
+            worst = max(worst, float(np.max(np.abs(gap))))
     report(8, "reduced_disk_degenerates_to_magnetic", worst, 1e-10)
 
 
 def test_criterion_09_equation_residual_convergence():
     sph = charts.sphere(1.0)
     full = models.FullDiskModel(sph, DISK)
-    jet0 = geometry_jet(sph, [math.pi / 2, 0.0])
     cases = {
         "geodesic": (models.GeodesicModel(sph, 1.0, None),
                      np.array([math.pi / 3, 0.0, 1.0, 0.5])),
@@ -232,9 +185,7 @@ def test_criterion_09_equation_residual_convergence():
                      np.array([math.pi / 2, 0.0, 0.0, 1.0])),
         "reduced_disk": (models.ReducedDiskModel(sph, 1.0, 0.01, 2.0),
                          np.array([math.pi / 2, 0.0, 0.0, 1.0])),
-        "full_disk": (full, full.pack(dynamics.FullState(
-            x=[math.pi / 2, 0.0], v=[0.0, 1.0], theta=0.0,
-            theta_dot=100.0 - float(jet0.f @ [0.0, 1.0])))),
+        "full_disk": (full, full.start([math.pi / 2, 0.0], [0.0, 1.0], 100.0)),
     }
     grid = (4e-3, 2e-3, 1e-3)
     worst_order = math.inf
@@ -281,6 +232,18 @@ class _NoDensityMagnetic(models.MagneticModel):
         return np.concatenate([v.copy(), accel])
 
 
+def flipped_k2_jet(chart, x, **kw):
+    """Deliberate bug: a sign error in the second principal component."""
+    jet = geometry_jet(chart, x, **kw)
+    return dataclasses.replace(jet, f=jet.f * [1.0, -1.0])
+
+
+def rectified_K_jet(chart, x, **kw):
+    """Deliberate bug: the curvature is rectified."""
+    jet = geometry_jet(chart, x, **kw)
+    return dataclasses.replace(jet, K=abs(jet.K))
+
+
 def test_criterion_12_mutations_are_detected():
     rng = np.random.default_rng(112)
     sphere_pts = random_points(rng, ORTHOGONAL_CHARTS["sphere"], 100)
@@ -288,9 +251,9 @@ def test_criterion_12_mutations_are_detected():
 
     # flipping the sign of the second principal component must blow up the
     # frame curl identity (criterion 2)
-    clean = identity_residual(ORTHOGONAL_CHARTS["sphere"], sphere_pts)
-    broken = identity_residual(ORTHOGONAL_CHARTS["sphere"], sphere_pts,
-                               flip_k2=True)
+    clean = worst_curl(ORTHOGONAL_CHARTS["sphere"], sphere_pts)
+    broken = worst_curl(ORTHOGONAL_CHARTS["sphere"], sphere_pts,
+                        jet=flipped_k2_jet)
     report(12, "mutation_k2_sign_flip_detected", broken, 1e-6,
            passed=clean < 1e-6 < broken)
 
@@ -308,9 +271,9 @@ def test_criterion_12_mutations_are_detected():
            passed=good_dev < 1e-5 < bad_dev)
 
     # rectifying the curvature must fail the identity where K < 0
-    clean = identity_residual(ORTHOGONAL_CHARTS["torus"], torus_pts)
-    broken = identity_residual(ORTHOGONAL_CHARTS["torus"], torus_pts,
-                               abs_K=True)
+    clean = worst_curl(ORTHOGONAL_CHARTS["torus"], torus_pts)
+    broken = worst_curl(ORTHOGONAL_CHARTS["torus"], torus_pts,
+                        jet=rectified_K_jet)
     report(12, "mutation_rectified_curvature_detected", broken, 1e-6,
            passed=clean < 1e-6 < broken)
 

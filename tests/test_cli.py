@@ -5,7 +5,7 @@ import math
 import pytest
 
 from gyrosurf.cli import main
-from gyrosurf.config import ScenarioConfig, parse_scenario
+from gyrosurf.config import ScenarioConfig, map_top_scenario, parse_scenario
 from test_expressions import DEEP_SHAPES
 
 
@@ -143,6 +143,19 @@ def test_last_sample_outside_domain_truncates_with_exit_3(tmp_path, capsys):
     assert lines[-1].startswith("# truncated: step 9: x1 = ")
 
 
+def test_sample_every_must_divide_n_steps(tmp_path, capsys):
+    # steps after the last stored sample would be computed and dropped
+    cfg = scenario(tmp_path)
+    cfg["integrator"] = {"dt": 1e-3, "n_steps": 10, "sample_every": 4}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "integrator.sample_every" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+    del cfg["output"]
+    path = write_config(tmp_path, cfg, "b.json")
+    assert main(["compare", path, path, "--tol", "1e-8"]) == 2
+    assert "integrator.sample_every" in capsys.readouterr().err
+
+
 def test_initial_point_outside_domain(tmp_path, capsys):
     cfg = scenario(tmp_path)
     cfg["initial"]["x"] = [4.0, 0.0]
@@ -202,6 +215,18 @@ def test_verify_geometry_suite(capsys):
     assert all(ln.split(",")[1] == "pass" for ln in lines)
 
 
+def test_verify_top_suite(capsys):
+    assert main(["verify", "top"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()]
+    assert [(r[0], r[1], r[4]) for r in rows] == [
+        ("top_sphere_parameters", "pass", "0.000000e+00"),
+        ("top_energy_drift", "pass", "1.000000e-08"),
+        ("top_axial_momentum_drift", "pass", "1.000000e-08"),
+        ("top_matches_sphere_magnetic", "pass", "1.000000e-06"),
+        ("steady_precession_holds_tilt", "pass", "1.000000e-08"),
+    ]
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "everything"])
@@ -219,6 +244,21 @@ def test_compare_map_top(tmp_path, capsys):
     assert main(["compare", write_config(tmp_path, cfg), "--map-top"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("compare_chart_distance,pass,")
+
+
+def test_map_top_reads_theta_dot_as_axial_spin():
+    # omega_a = theta_dot + x2dot cos(x1), and the twin's charge is I3 omega_a
+    charges = []
+    for spin in ({"omega_a": 30.0},
+                 {"theta_dot": 30.0 - 0.4 * math.cos(math.pi / 3)}):
+        cfg = ScenarioConfig({
+            "model": "top",
+            "params": {"M": 1.3, "ell": 0.4, "I1": 1.7, "I3": 0.6, "g": 9.8},
+            "initial": {"x": [math.pi / 3, 0.0], "v": [0.1, 0.4], **spin},
+            "integrator": {"dt": 1e-3, "n_steps": 10}})
+        charges.append(map_top_scenario(cfg).data["params"]["L"])
+    assert charges[0] == 0.6 * 30.0
+    assert charges[1] == pytest.approx(charges[0], rel=1e-12)
 
 
 def test_compare_two_scenarios(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gyrosurf import charts, dynamics, models, potentials
 from gyrosurf.errors import (
@@ -24,11 +25,15 @@ def test_parallel_transport_rate_latitude():
 
 
 def test_axial_spin_definition():
-    jet = geometry_jet(charts.sphere(1.0), (math.pi / 3, 0.0))
-    state = dynamics.FullState(x=[math.pi / 3, 0.0], v=[0.2, 1.0],
-                               theta=0.0, theta_dot=5.0)
+    # omega_a = theta_dot + f . v, the spin about the surface normal
+    chart = charts.sphere(1.0)
+    jet = geometry_jet(chart, (math.pi / 3, 0.0))
+    model = models.FullDiskModel(
+        chart, dynamics.DiskParams(m=1.0, I_a=0.02, I_d=0.01))
+    y = model.pack(dynamics.FullState(x=[math.pi / 3, 0.0], v=[0.2, 1.0],
+                                      theta=0.0, theta_dot=5.0))
     want = 5.0 + float(jet.f @ [0.2, 1.0])
-    assert dynamics.axial_spin(jet, state) == pytest.approx(want)
+    assert model.omega_a(y) == pytest.approx(want)
 
 
 def test_magnetic_force_does_no_work():
@@ -375,3 +380,45 @@ def test_potential_enters_geodesic_rhs():
     _, dv = dynamics.magnetic_geodesic_rhs(chart, 2.0, 0.0, pot, state)
     assert dv[0] == pytest.approx(0.0, abs=1e-9)
     assert dv[1] == pytest.approx(-4.9, rel=1e-7)
+
+
+SPIN_MODELS = {
+    "full_disk_sphere": models.FullDiskModel(
+        charts.sphere(1.0), dynamics.DiskParams(m=1.0, I_a=0.02, I_d=0.01)),
+    "full_disk_torus": models.FullDiskModel(
+        charts.torus(2.0, 0.5), dynamics.DiskParams(m=2.0, I_a=0.3, I_d=0.1)),
+    "full_disk_cylinder": models.FullDiskModel(
+        charts.cylinder(0.7), dynamics.DiskParams(m=1.0, I_a=0.5, I_d=0.2)),
+    "top": models.TopModel(
+        dynamics.TopParams(M=1.3, ell=0.4, I1=1.7, I3=0.6, g=9.8)),
+}
+
+
+@pytest.mark.parametrize("name", SPIN_MODELS)
+@settings(max_examples=60, deadline=None)
+@given(u=st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 1.0)),
+       v=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       omega=st.floats(-1e3, 1e3))
+def test_start_sets_the_axial_spin(name, u, v, omega):
+    model = SPIN_MODELS[name]
+    dom = model.monitor_chart.domain
+    x = [lo + t * (hi - lo)
+         for t, (lo, hi) in zip(u, (dom.x1_range, dom.x2_range))]
+    y = model.start(x, v, omega)
+    assert abs(model.omega_a(y) - omega) <= 1e-12 * max(1.0, abs(omega))
+
+
+def test_sphere_twin_is_the_hand_built_twin():
+    rng = np.random.default_rng(27)
+    top = dynamics.TopParams(M=1.3, ell=0.4, I1=1.7, I3=0.6, g=9.8)
+    eq = dynamics.top_to_sphere(top)
+    for omega_a in (30.0, -4.5):
+        twin = models.TopModel(top).sphere_twin(omega_a)
+        hand = models.MagneticModel(
+            eq.chart(), eq.m, eq.charge(omega_a),
+            potentials.axis_cosine(eq.m * top.g * eq.R))
+        for _ in range(100):
+            y = np.concatenate([[rng.uniform(0.1, math.pi - 0.1),
+                                 rng.uniform(0.0, 2 * math.pi)],
+                                rng.uniform(-3.0, 3.0, 2)])
+            assert np.array_equal(twin.rhs(y), hand.rhs(y))

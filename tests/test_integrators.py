@@ -170,7 +170,7 @@ def test_last_sample_outside_chart_truncates():
     reasons = []
     for sample_every in (7, 1):
         traj = integrate(model, y0, IntegratorSettings(
-            dt=1e-3, n_steps=200, sample_every=sample_every))
+            dt=1e-3, n_steps=210, sample_every=sample_every))
         assert traj.truncated
         assert all(model.chart.domain.contains(s[:2]) for s in traj.states)
         assert len(traj.times) == len(traj.states) == len(traj.monitors["E"])
@@ -201,6 +201,18 @@ def test_settings_validation():
         IntegratorSettings(dt=1e-3, n_steps=10, sample_every=0)
     with pytest.raises(ValueError):
         IntegratorSettings(dt=1e-3, n_steps=10, scheme="euler")
+
+
+def test_sample_every_must_divide_n_steps():
+    # steps after the last stored sample would be computed and dropped
+    with pytest.raises(ValueError, match="sample_every = 4 must divide "
+                                         "n_steps = 10"):
+        IntegratorSettings(dt=1e-3, n_steps=10, sample_every=4)
+    model = models.MagneticModel(charts.sphere(1.0), 1.0, 1.0)
+    traj = integrate(model, [math.pi / 2, 0.0, 0.0, 1.0],
+                     IntegratorSettings(dt=1e-3, n_steps=12, sample_every=4))
+    assert traj.times[-1] == pytest.approx(0.012)
+    assert traj.n_samples == 4 and not traj.truncated
 
 
 def test_column_lookup():

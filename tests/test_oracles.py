@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gyrosurf import charts, models, verify
+from gyrosurf import charts, models, suites, verify
 from gyrosurf.errors import (
     DomainError,
     GridMismatchError,
@@ -24,6 +24,18 @@ def test_wrap_angle():
     assert verify.wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
     assert verify.wrap_angle(TWO_PI + 0.25) == pytest.approx(0.25)
     assert verify.wrap_angle(-0.1) == pytest.approx(-0.1)
+
+
+def test_drift_is_relative_to_max_of_one_and_start():
+    # below |q0| = 1 the drift is absolute, above it relative
+    assert suites.drift([0.5, 0.75, 0.375]) == 0.25
+    assert suites.drift([-4.0, -3.0, -5.0]) == 0.25
+    assert suites.drift(np.full(5, 0.5)) == 0.0
+    # a NaN anywhere in the track must not read as a pass
+    for track in ([1.0, math.nan, 1.0], [math.nan, 1.0, 1.0]):
+        value = suites.drift(track)
+        assert math.isnan(value)
+        assert not suites._result("drift", [value], 1.0).passed
 
 
 def test_hjh_identity_random():
